@@ -61,6 +61,21 @@ impl ResourceList {
             .all(|(k, &v)| v <= avail.extended_count(k))
     }
 
+    /// True if `self` fits within `allocatable − allocated` on every axis:
+    /// [`ResourceList::fits_in`] against the free capacity, without
+    /// building the difference.
+    pub fn fits_in_free(&self, allocatable: &ResourceList, allocated: &ResourceList) -> bool {
+        let free = |cap: u64, used: u64| cap.saturating_sub(used);
+        if self.cpu_millis > free(allocatable.cpu_millis, allocated.cpu_millis)
+            || self.memory_bytes > free(allocatable.memory_bytes, allocated.memory_bytes)
+        {
+            return false;
+        }
+        self.extended
+            .iter()
+            .all(|(k, &v)| v <= free(allocatable.extended_count(k), allocated.extended_count(k)))
+    }
+
     /// Component-wise addition.
     pub fn checked_add(&self, other: &ResourceList) -> ResourceList {
         let mut out = self.clone();
@@ -125,6 +140,23 @@ mod tests {
         assert!(!ResourceList::zero()
             .with_extended("example.com/fpga", 1)
             .fits_in(&avail));
+    }
+
+    #[test]
+    fn fits_in_free_matches_fits_in_the_difference() {
+        let cap = ResourceList::cpu_mem(4000, 8 << 30).with_extended(NVIDIA_GPU, 4);
+        let used = ResourceList::cpu_mem(1000, 2 << 30).with_extended(NVIDIA_GPU, 3);
+        let free = cap.checked_sub(&used);
+        for req in [
+            ResourceList::cpu_mem(3000, 6 << 30).with_extended(NVIDIA_GPU, 1),
+            ResourceList::cpu_mem(3001, 0),
+            ResourceList::cpu_mem(0, (6 << 30) + 1),
+            ResourceList::zero().with_extended(NVIDIA_GPU, 2),
+            ResourceList::zero().with_extended("example.com/fpga", 1),
+            ResourceList::zero(),
+        ] {
+            assert_eq!(req.fits_in_free(&cap, &used), req.fits_in(&free), "{req:?}");
+        }
     }
 
     #[test]

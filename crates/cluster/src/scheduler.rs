@@ -7,14 +7,19 @@
 
 use crate::api::resources::ResourceList;
 
-/// Which scheduling implementation to run (DESIGN.md §10). `Reference`
-/// and `Indexed` produce byte-identical decisions — that is the contract
-/// the differential test oracle enforces — but `Indexed` serves placement
-/// from incrementally maintained ordered indexes instead of full scans.
-/// `Auto` (the default) picks between them per decision by pool size:
-/// index maintenance overhead makes the ordered scans a net loss on small
-/// pools (BENCH_sched.json shows 0.66× at 1k GPUs), while past the
-/// crossover they win by an order of magnitude (16.8× at 10k GPUs).
+/// Which Algorithm 1 implementation KubeShare-Sched runs over the vGPU
+/// pool (DESIGN.md §10). `Reference` and `Indexed` produce byte-identical
+/// decisions — that is the contract the differential test oracle
+/// enforces — but `Indexed` serves placement from incrementally
+/// maintained ordered indexes instead of full scans. `Auto` (the default)
+/// picks between them per decision by pool size: index maintenance
+/// overhead makes the ordered scans a net loss on small pools
+/// (BENCH_sched.json shows 0.66× at 1k GPUs), while past the crossover
+/// they win by an order of magnitude (16.8× at 10k GPUs).
+///
+/// The mode does not reach the simulated cluster: `ClusterSim` always
+/// picks nodes from its score-ranked index, and [`KubeScheduler::pick_node`]
+/// is the paper-literal oracle the tests hold it to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Paper-faithful reference: linear scan of every candidate.
@@ -155,11 +160,10 @@ impl KubeScheduler {
     pub fn pick_node(&self, request: &ResourceList, nodes: &[NodeView]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, n) in nodes.iter().enumerate() {
-            let free = n.free();
-            if !request.fits_in(&free) {
+            if !request.fits_in(&n.free()) {
                 continue;
             }
-            let score = self.score(n, &free);
+            let score = self.node_score(n);
             let better = match best {
                 None => true,
                 // Strict total order; ties break by node order, matching
@@ -177,24 +181,34 @@ impl KubeScheduler {
     /// The scoring function behind [`Self::pick_node`], exposed so callers
     /// maintaining an ordered node-score index score nodes identically.
     pub fn node_score(&self, node: &NodeView) -> f64 {
-        self.score(node, &node.free())
+        self.score(&node.allocatable, &node.allocated, node.spatial)
     }
 
-    fn score(&self, node: &NodeView, free: &ResourceList) -> f64 {
+    /// [`Self::node_score`] over a node's parts, computing the free
+    /// fraction per axis without building a view or a free list.
+    pub fn score(
+        &self,
+        allocatable: &ResourceList,
+        allocated: &ResourceList,
+        spatial: Option<SpatialSlices>,
+    ) -> f64 {
         // Mean free fraction over the axes that exist on this node.
         let mut sum = 0.0;
         let mut n = 0.0;
-        if node.allocatable.cpu_millis > 0 {
-            sum += free.cpu_millis as f64 / node.allocatable.cpu_millis as f64;
+        if allocatable.cpu_millis > 0 {
+            let free = allocatable.cpu_millis - allocated.cpu_millis;
+            sum += free as f64 / allocatable.cpu_millis as f64;
             n += 1.0;
         }
-        if node.allocatable.memory_bytes > 0 {
-            sum += free.memory_bytes as f64 / node.allocatable.memory_bytes as f64;
+        if allocatable.memory_bytes > 0 {
+            let free = allocatable.memory_bytes - allocated.memory_bytes;
+            sum += free as f64 / allocatable.memory_bytes as f64;
             n += 1.0;
         }
-        for (k, &cap) in &node.allocatable.extended {
+        for (k, &cap) in &allocatable.extended {
             if cap > 0 {
-                sum += free.extended_count(k) as f64 / cap as f64;
+                let free = cap - allocated.extended_count(k);
+                sum += free as f64 / cap as f64;
                 n += 1.0;
             }
         }
@@ -202,7 +216,7 @@ impl KubeScheduler {
         // so nodes whose partitioned GPUs are emptier score freer. Nodes
         // without partitioned GPUs skip the axis and score exactly as
         // before the partition subsystem existed.
-        if let Some(s) = node.spatial {
+        if let Some(s) = spatial {
             if s.total_slots > 0 {
                 sum += s.free_slots as f64 / s.total_slots as f64;
                 n += 1.0;

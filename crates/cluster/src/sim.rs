@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use ks_sim_core::time::SimTime;
 use ks_telemetry::provenance::{DecisionKind, Outcome, ReasonCode, SchedProv};
-use ks_telemetry::{FlightRecorder, Telemetry, TraceCtx};
+use ks_telemetry::{Counter, FlightRecorder, Gauge, Histo, Telemetry, TraceCtx};
 
 use crate::api::meta::{Uid, UidAllocator};
 use crate::api::node::NodeConfig;
@@ -20,7 +20,7 @@ use crate::api::resources::ResourceList;
 use crate::api::ObjectMeta;
 use crate::device_plugin::{DeviceManager, FractionalGpuPlugin, NvidiaGpuPlugin, UnitAssignPolicy};
 use crate::latency::LatencyModel;
-use crate::scheduler::{KubeScheduler, NodeView, OrdF64, SchedMode, ScorePolicy, SpatialSlices};
+use crate::scheduler::{KubeScheduler, NodeView, OrdF64, ScorePolicy, SpatialSlices};
 use crate::store::Store;
 
 /// Which GPU device plugin every node runs.
@@ -122,6 +122,47 @@ pub enum ClusterNotice {
 /// Scheduled cluster events: `(fire_at, event)`.
 pub type ClusterEmit = Vec<(SimTime, ClusterEvent)>;
 
+/// A pod lifecycle transition, counted under
+/// `ks_cluster_pod_lifecycle_total{phase}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Scheduled,
+    Unschedulable,
+    Running,
+    Failed,
+    Deleted,
+}
+
+impl Phase {
+    fn label(self) -> &'static str {
+        match self {
+            Phase::Scheduled => "scheduled",
+            Phase::Unschedulable => "unschedulable",
+            Phase::Running => "running",
+            Phase::Failed => "failed",
+            Phase::Deleted => "deleted",
+        }
+    }
+}
+
+/// Cluster metric handles, each resolved on its first use and reused
+/// after, so the per-attempt lifecycle path does no registry lookup.
+/// Resolved lazily rather than up front so that a series still enters
+/// the registry at its first event and exports stay unchanged.
+#[derive(Default)]
+struct ClusterMetrics {
+    /// One counter per [`Phase`], indexed by its discriminant.
+    lifecycle: [Option<Counter>; 5],
+    unschedulable: Option<Gauge>,
+    start_seconds: Option<Histo>,
+}
+
+impl std::fmt::Debug for ClusterMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClusterMetrics").finish_non_exhaustive()
+    }
+}
+
 #[derive(Debug)]
 struct NodeState {
     name: String,
@@ -159,18 +200,17 @@ pub struct ClusterSim {
     /// Pods that found no node; retried whenever capacity frees.
     unschedulable: Vec<Uid>,
     telemetry: Telemetry,
+    metrics: ClusterMetrics,
     /// Flight recorder for node-rank decision provenance (disabled by
     /// default; [`ClusterSim::set_recorder`]).
     recorder: FlightRecorder,
     /// Causal trace contexts for pods created on behalf of a traced
     /// operation (KubeShare anchors and backing pods).
     pod_trace: HashMap<Uid, TraceCtx>,
-    /// Which node-selection implementation `on_schedule` runs.
-    sched_mode: SchedMode,
-    /// Up nodes keyed by current scheduler score; iterated descending
-    /// (score, then ascending node index) this reproduces
+    /// Up, uncordoned nodes keyed by current scheduler score; iterated
+    /// descending (score, then ascending node index) this reproduces
     /// [`KubeScheduler::pick_node`]'s argmax with its first-node
-    /// tie-break as an ordered scan.
+    /// tie-break as an ordered scan. Every node pick is served from it.
     node_rank: std::collections::BTreeSet<(OrdF64, std::cmp::Reverse<usize>)>,
     /// Node index by name. The node set is fixed at construction, so this
     /// never changes; it replaces the per-pod linear name scans that made
@@ -232,9 +272,9 @@ impl ClusterSim {
             nodes,
             unschedulable: Vec::new(),
             telemetry: Telemetry::disabled(),
+            metrics: ClusterMetrics::default(),
             recorder: FlightRecorder::disabled(),
             pod_trace: HashMap::new(),
-            sched_mode: SchedMode::default(),
             node_rank: std::collections::BTreeSet::new(),
             name_ix: HashMap::new(),
             free_total: ResourceList::zero(),
@@ -256,18 +296,11 @@ impl ClusterSim {
         self.name_ix.get(name).copied()
     }
 
-    /// Selects the node-selection implementation (default:
-    /// [`SchedMode::Indexed`]). Both modes place identically.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
-    }
-
     /// Advertises (or updates) a node's spatial slice capacity: the
     /// control plane mirrors its partition tables here so node scoring
     /// sees slice occupancy as one more capacity axis. `total == 0`
     /// withdraws the advertisement. Returns `false` for unknown nodes.
-    /// The node is re-filed in the rank index under its new score, so both
-    /// node-selection modes keep placing identically.
+    /// The node is re-filed in the rank index under its new score.
     pub fn set_spatial_slices(&mut self, node: &str, free_slots: u64, total_slots: u64) -> bool {
         let Some(idx) = self.node_idx(node) else {
             return false;
@@ -294,12 +327,9 @@ impl ClusterSim {
         }
         let n = &self.nodes[idx];
         let free = n.allocatable.checked_sub(&n.allocated);
-        let score = self.scheduler.node_score(&NodeView {
-            name: n.name.clone(),
-            allocatable: n.allocatable.clone(),
-            allocated: n.allocated.clone(),
-            spatial: n.spatial,
-        });
+        let score = self
+            .scheduler
+            .score(&n.allocatable, &n.allocated, n.spatial);
         self.free_total = self.free_total.checked_add(&free);
         let key = OrdF64::of(score);
         self.node_rank.insert((key, std::cmp::Reverse(idx)));
@@ -317,18 +347,53 @@ impl ClusterSim {
         }
     }
 
-    /// Ordered-scan equivalent of [`KubeScheduler::pick_node`]: walk up
-    /// nodes by descending score (ascending index within a score) and
-    /// take the first one the request fits on.
-    fn pick_node_indexed(&self, requests: &ResourceList) -> Option<usize> {
+    /// Picks a node for a pod without allocating. A pinned pod gets its
+    /// node if that node is up, uncordoned and fits it. Otherwise the
+    /// ordered-scan equivalent of [`KubeScheduler::pick_node`]: walk the
+    /// rank index by descending score (ascending index within a score)
+    /// and take the first node the request fits on. A request that does
+    /// not fit the cluster-wide free total fits no single node, so that
+    /// case — a retried pod on a full cluster — answers in O(1).
+    fn pick_node(&self, requests: &ResourceList, pinned: Option<&str>) -> Option<usize> {
+        let fits = |idx: usize| {
+            let n = &self.nodes[idx];
+            requests.fits_in_free(&n.allocatable, &n.allocated)
+        };
+        if let Some(name) = pinned {
+            let idx = self
+                .node_idx(name)
+                .unwrap_or_else(|| panic!("pinned to unknown node {name}"));
+            // A down or cordoned node cannot take the pod; it queues until
+            // the node returns (or the owner re-schedules it elsewhere).
+            let n = &self.nodes[idx];
+            return (n.up && !n.cordoned && fits(idx)).then_some(idx);
+        }
+        if !requests.fits_in(&self.free_total) {
+            return None;
+        }
         self.node_rank
             .iter()
             .rev()
             .map(|&(_, std::cmp::Reverse(idx))| idx)
-            .find(|&idx| {
-                let n = &self.nodes[idx];
-                requests.fits_in(&n.allocatable.checked_sub(&n.allocated))
+            .find(|&idx| fits(idx))
+    }
+
+    /// Scheduler views of the schedulable (up, uncordoned) nodes in node
+    /// order: the input on which the paper-literal
+    /// [`KubeScheduler::pick_node`] makes the same unpinned pick as the
+    /// rank index. Builds a fresh snapshot per call, for tests and
+    /// diagnostics; scheduling never calls it.
+    pub fn node_views(&self) -> Vec<NodeView> {
+        self.nodes
+            .iter()
+            .filter(|n| n.up && !n.cordoned)
+            .map(|n| NodeView {
+                name: n.name.clone(),
+                allocatable: n.allocatable.clone(),
+                allocated: n.allocated.clone(),
+                spatial: n.spatial,
             })
+            .collect()
     }
 
     /// Cross-checks the node rank index against a from-scratch rebuild.
@@ -341,12 +406,9 @@ impl ClusterSim {
                 }
                 continue;
             }
-            let score = self.scheduler.node_score(&NodeView {
-                name: n.name.clone(),
-                allocatable: n.allocatable.clone(),
-                allocated: n.allocated.clone(),
-                spatial: n.spatial,
-            });
+            let score = self
+                .scheduler
+                .score(&n.allocatable, &n.allocated, n.spatial);
             let key = OrdF64::of(score);
             if n.score_key != Some(key) {
                 return Err(format!(
@@ -389,6 +451,7 @@ impl ClusterSim {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.pods.instrument(telemetry.clone(), "pods");
         self.telemetry = telemetry;
+        self.metrics = ClusterMetrics::default();
     }
 
     /// Attaches a flight recorder: every node-selection decision taken by
@@ -420,33 +483,50 @@ impl ClusterSim {
 
     /// Counts one pod lifecycle transition and mirrors the unschedulable
     /// queue depth, which changes on most transitions.
-    fn note_phase(&mut self, now: SimTime, uid: Uid, phase: &'static str) {
-        if phase == "deleted" {
+    fn note_phase(&mut self, now: SimTime, uid: Uid, phase: Phase) {
+        let ctx = if phase == Phase::Deleted {
             // Take (not just read) so the map cannot grow unboundedly.
-            let ctx = self.pod_trace.remove(&uid).unwrap_or(TraceCtx::NONE);
-            self.note_phase_ctx(now, uid, phase, ctx);
-            return;
+            self.pod_trace.remove(&uid)
+        } else {
+            self.pod_trace.get(&uid).copied()
         }
-        let ctx = self.pod_trace.get(&uid).copied().unwrap_or(TraceCtx::NONE);
-        self.note_phase_ctx(now, uid, phase, ctx);
-    }
-
-    fn note_phase_ctx(&self, now: SimTime, uid: Uid, phase: &'static str, ctx: TraceCtx) {
+        .unwrap_or(TraceCtx::NONE);
         if !self.telemetry.is_enabled() {
             return;
         }
-        self.telemetry
-            .counter("ks_cluster_pod_lifecycle_total", &[("phase", phase)])
+        let telemetry = &self.telemetry;
+        self.metrics.lifecycle[phase as usize]
+            .get_or_insert_with(|| {
+                telemetry.counter(
+                    "ks_cluster_pod_lifecycle_total",
+                    &[("phase", phase.label())],
+                )
+            })
             .inc();
-        self.telemetry
-            .gauge("ks_cluster_unschedulable_pods", &[])
+        self.metrics
+            .unschedulable
+            .get_or_insert_with(|| telemetry.gauge("ks_cluster_unschedulable_pods", &[]))
             .set(self.unschedulable.len() as f64);
-        self.telemetry.trace_event_in(
+        telemetry.trace_event_in(
             now,
             ctx,
             "cluster",
             "pod_phase",
-            &[("pod", uid.to_string()), ("phase", phase.to_string())],
+            &[
+                ("pod", uid.to_string()),
+                ("phase", phase.label().to_string()),
+            ],
+        );
+    }
+
+    /// Capacity came back: every unschedulable pod gets another
+    /// scheduling attempt, in queue order.
+    fn retry_unschedulable(&mut self, now: SimTime, out: &mut ClusterEmit) {
+        let at = now + self.latency.schedule;
+        out.extend(
+            self.unschedulable
+                .drain(..)
+                .map(|pod| (at, ClusterEvent::ScheduleAttempt { pod })),
         );
     }
 
@@ -545,7 +625,7 @@ impl ClusterSim {
                 self.unschedulable.retain(|&u| u != uid);
                 self.pods.delete(uid);
                 notices.push(ClusterNotice::PodDeleted { pod: uid });
-                self.note_phase(now, uid, "deleted");
+                self.note_phase(now, uid, Phase::Deleted);
             }
             PodPhase::Scheduled | PodPhase::Running => {
                 out.push((
@@ -589,14 +669,8 @@ impl ClusterSim {
             p.status.message = Some(reason.clone());
         });
         notices.push(ClusterNotice::PodFailed { pod: uid, reason });
-        self.note_phase(now, uid, "failed");
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.note_phase(now, uid, Phase::Failed);
+        self.retry_unschedulable(now, out);
     }
 
     /// Whether a node is currently up. `None` for unknown nodes.
@@ -641,13 +715,7 @@ impl ClusterSim {
         self.nodes[idx].cordoned = false;
         if self.nodes[idx].up {
             self.rank_index(idx);
-            let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-            for p in retry {
-                out.push((
-                    now + self.latency.schedule,
-                    ClusterEvent::ScheduleAttempt { pod: p },
-                ));
-            }
+            self.retry_unschedulable(now, out);
         }
         true
     }
@@ -695,7 +763,7 @@ impl ClusterSim {
                 pod: uid,
                 reason: "node failure".into(),
             });
-            self.note_phase(now, uid, "failed");
+            self.note_phase(now, uid, Phase::Failed);
         }
         // Everything charged against the node is gone with the kubelet.
         self.nodes[idx].allocated = ResourceList::zero();
@@ -716,13 +784,7 @@ impl ClusterSim {
         self.nodes[idx].allocated = ResourceList::zero();
         self.nodes[idx].starting = 0;
         self.rank_index(idx);
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.retry_unschedulable(now, out);
         true
     }
 
@@ -742,27 +804,6 @@ impl ClusterSim {
         }
     }
 
-    /// Scheduler views of the up nodes, paired with their index into
-    /// `self.nodes` (down nodes are invisible to the scheduler, so view
-    /// indices and node indices diverge while any node is down).
-    fn up_views(&self) -> (Vec<usize>, Vec<NodeView>) {
-        let mut idxs = Vec::new();
-        let mut views = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.up || n.cordoned {
-                continue;
-            }
-            idxs.push(i);
-            views.push(NodeView {
-                name: n.name.clone(),
-                allocatable: n.allocatable.clone(),
-                allocated: n.allocated.clone(),
-                spatial: n.spatial,
-            });
-        }
-        (idxs, views)
-    }
-
     fn on_schedule(
         &mut self,
         now: SimTime,
@@ -776,37 +817,16 @@ impl ClusterSim {
         if pod.status.phase != PodPhase::Pending {
             return;
         }
-        let requests = pod.spec.requests.clone();
-        let pinned = pod.spec.node_name.clone();
-
-        let node_idx = match &pinned {
-            Some(name) => {
-                let idx = self
-                    .node_idx(name)
-                    .unwrap_or_else(|| panic!("pinned to unknown node {name}"));
-                // A down node cannot take the pod; it queues until the node
-                // recovers (or the owner re-schedules it elsewhere).
-                let free = self.nodes[idx]
-                    .allocatable
-                    .checked_sub(&self.nodes[idx].allocated);
-                (self.nodes[idx].up && !self.nodes[idx].cordoned && requests.fits_in(&free))
-                    .then_some(idx)
-            }
-            None => match self.sched_mode.resolve(self.nodes.len()) {
-                SchedMode::Reference => {
-                    let (idxs, views) = self.up_views();
-                    self.scheduler.pick_node(&requests, &views).map(|v| idxs[v])
-                }
-                SchedMode::Indexed | SchedMode::Auto => self.pick_node_indexed(&requests),
-            },
-        };
-
+        let requests = &pod.spec.requests;
+        let pinned = pod.spec.node_name.as_deref();
+        let node_idx = self.pick_node(requests, pinned);
         if self.recorder.is_enabled() {
-            self.record_node_rank(now, uid, &requests, pinned.as_deref(), node_idx);
+            self.record_node_rank(now, uid, requests, pinned, node_idx);
         }
 
         match node_idx {
             Some(idx) => {
+                let requests = requests.clone();
                 let node_name = self.nodes[idx].name.clone();
                 self.rank_unindex(idx);
                 self.nodes[idx].allocated = self.nodes[idx].allocated.checked_add(&requests);
@@ -819,24 +839,29 @@ impl ClusterSim {
                     now + self.latency.bind,
                     ClusterEvent::BindArrived { pod: uid },
                 ));
-                self.note_phase(now, uid, "scheduled");
+                self.note_phase(now, uid, Phase::Scheduled);
             }
             None => {
                 if !self.unschedulable.contains(&uid) {
                     self.unschedulable.push(uid);
                 }
                 notices.push(ClusterNotice::PodUnschedulable { pod: uid });
-                self.note_phase(now, uid, "unschedulable");
+                self.note_phase(now, uid, Phase::Unschedulable);
             }
         }
     }
 
     /// Captures one [`DecisionKind::NodeRank`] record for a node-selection
-    /// decision: every up node as a scored candidate, the chosen node
-    /// marked, unschedulable rendered as `Rejected(NoCapacity)`. Called
-    /// strictly *after* the decision and *before* any state mutation, and
-    /// only when a recorder is attached — it reads cluster state without
-    /// touching it, so placements are bit-identical recorder on or off.
+    /// decision: the first [`SchedProv::MAX_CANDIDATES`] schedulable nodes
+    /// in node order as scored candidates, every schedulable node counted
+    /// as considered, the chosen node marked (appended if it lies past
+    /// the captured ones), unschedulable rendered as
+    /// `Rejected(NoCapacity)`. Called strictly *after* the decision and
+    /// *before* any state mutation, and only when a recorder is attached —
+    /// it reads cluster state without touching it, so placements are
+    /// bit-identical recorder on or off. Scores are read from the rank
+    /// keys, which always hold the node's current score
+    /// ([`ClusterSim::verify_node_rank`]).
     fn record_node_rank(
         &self,
         now: SimTime,
@@ -848,29 +873,22 @@ impl ClusterSim {
         let mut prov = SchedProv::on();
         match pinned {
             Some(name) => prov.note(|| format!("pod pinned to node {name}")),
-            None => prov.note(|| {
-                format!(
-                    "ranked {} up node(s) under {:?}",
-                    self.node_rank.len(),
-                    self.sched_mode.resolve(self.nodes.len())
-                )
-            }),
+            None => prov.note(|| format!("ranked {} up node(s)", self.node_rank.len())),
         }
-        let (_, views) = self.up_views();
-        for view in &views {
-            let fits = requests.fits_in(&view.allocatable.checked_sub(&view.allocated));
+        let ranked = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.score_key.map(|key| (n, key.get())));
+        for (n, score) in ranked.take(prov.scan_room()) {
+            let fits = requests.fits_in_free(&n.allocatable, &n.allocated);
             let rule = if fits { "node_score" } else { "node_unfit" };
-            prov.candidate_with(rule, self.scheduler.node_score(view), || view.name.clone());
+            prov.scan_push(rule, score, &n.name);
         }
+        prov.add_considered(self.node_rank.len());
         let outcome = match node_idx {
             Some(idx) => {
                 let n = &self.nodes[idx];
-                let score = self.scheduler.node_score(&NodeView {
-                    name: n.name.clone(),
-                    allocatable: n.allocatable.clone(),
-                    allocated: n.allocated.clone(),
-                    spatial: n.spatial,
-                });
+                let score = n.score_key.expect("chosen node is ranked").get();
                 let rule = if pinned.is_some() {
                     "pinned"
                 } else {
@@ -949,7 +967,8 @@ impl ClusterSim {
                             pod: uid,
                             reason: format!("{e:?}"),
                         });
-                        self.note_phase(now, uid, "failed");
+                        self.note_phase(now, uid, Phase::Failed);
+                        self.retry_unschedulable(now, out);
                         return;
                     }
                 }
@@ -983,11 +1002,15 @@ impl ClusterSim {
             .mutate(uid, |p| p.status.phase = PodPhase::Running);
         notices.push(ClusterNotice::PodRunning { pod: uid });
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .histogram_seconds("ks_cluster_pod_start_seconds", &[])
+            let telemetry = &self.telemetry;
+            self.metrics
+                .start_seconds
+                .get_or_insert_with(|| {
+                    telemetry.histogram_seconds("ks_cluster_pod_start_seconds", &[])
+                })
                 .observe(now.saturating_since(submitted).as_secs_f64());
         }
-        self.note_phase(now, uid, "running");
+        self.note_phase(now, uid, Phase::Running);
     }
 
     fn on_stopped(
@@ -1018,16 +1041,8 @@ impl ClusterSim {
         self.pods
             .mutate(uid, |p| p.status.phase = PodPhase::Terminated);
         notices.push(ClusterNotice::PodDeleted { pod: uid });
-        self.note_phase(now, uid, "deleted");
-
-        // Capacity freed: retry everything that was unschedulable.
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.note_phase(now, uid, Phase::Deleted);
+        self.retry_unschedulable(now, out);
     }
 }
 
@@ -1036,6 +1051,7 @@ mod tests {
     use super::*;
     use crate::api::resources::NVIDIA_GPU;
     use ks_sim_core::prelude::*;
+    use ks_telemetry::provenance::CandidateScore;
 
     /// Minimal engine wrapper for driving a ClusterSim in tests.
     struct World {
@@ -1540,66 +1556,143 @@ mod tests {
         }
     }
 
-    /// Same workload — a pod wave, a crash, a node failure and recovery,
-    /// a second wave — placed identically under both node-selection
-    /// implementations, with the rank index consistent throughout.
+    /// A failed device allocation returns the pod's capacity to the node,
+    /// so — like every other path that frees capacity — it must retry the
+    /// unschedulable queue.
     #[test]
-    fn indexed_node_pick_matches_reference() {
-        let run = |mode: SchedMode| -> Vec<(Uid, Option<String>)> {
-            let mut eng = engine(multi_cluster(4));
-            eng.world.cluster.set_sched_mode(mode);
-            let mut uids = Vec::new();
-            let mut out = Vec::new();
-            for i in 0..6 {
-                uids.push(eng.world.cluster.submit_pod(
-                    SimTime::ZERO,
-                    format!("a{i}"),
-                    gpu_pod_spec(),
-                    &mut out,
-                ));
-            }
-            seed(&mut eng, out);
-            eng.run_to_completion(10_000);
-            eng.world.cluster.verify_node_rank().unwrap();
+    fn failed_device_allocation_retries_unschedulable_pods() {
+        let mut eng = engine(small_cluster(1));
+        // Take the only GPU behind the scheduler's back: accounting still
+        // shows it free, so the next GPU pod is placed and its bind fails.
+        eng.world.cluster.nodes[0]
+            .device_mgr
+            .as_mut()
+            .unwrap()
+            .allocate(Uid(u64::MAX), 1)
+            .unwrap();
+        let mut out = Vec::new();
+        let gpu = eng.world.cluster.submit_pod(
+            SimTime::ZERO,
+            "gpu",
+            PodSpec::new(
+                "tf:latest",
+                ResourceList::cpu_mem(6_000, 1 << 30).with_extended(NVIDIA_GPU, 1),
+            ),
+            &mut out,
+        );
+        // Fits only once the GPU pod's CPU is returned.
+        let cpu = eng.world.cluster.submit_pod(
+            SimTime::ZERO,
+            "cpu",
+            PodSpec::new("tf:latest", ResourceList::cpu_mem(4_000, 1 << 30)),
+            &mut out,
+        );
+        seed(&mut eng, out);
+        eng.run_to_completion(1000);
+        assert_eq!(
+            eng.world.cluster.pod(gpu).unwrap().status.phase,
+            PodPhase::Failed
+        );
+        assert!(eng
+            .world
+            .notices
+            .iter()
+            .any(|(_, n)| matches!(n, ClusterNotice::PodUnschedulable { pod } if *pod == cpu)));
+        assert_eq!(
+            eng.world.cluster.pod(cpu).unwrap().status.phase,
+            PodPhase::Running
+        );
+        eng.world.cluster.verify_node_rank().unwrap();
+    }
 
-            let now = eng.now();
-            let mut out = Vec::new();
-            let mut notes = Vec::new();
-            eng.world
-                .cluster
-                .crash_pod(now, uids[0], "OOMKilled", &mut out, &mut notes);
-            eng.world.cluster.fail_node(now, "n1", &mut notes);
-            seed(&mut eng, out);
-            eng.run_to_completion(10_000);
-            eng.world.cluster.verify_node_rank().unwrap();
-
-            let now = eng.now();
-            let mut out = Vec::new();
-            eng.world.cluster.recover_node(now, "n1", &mut out);
-            for i in 0..4 {
-                uids.push(eng.world.cluster.submit_pod(
-                    now,
-                    format!("b{i}"),
-                    gpu_pod_spec(),
-                    &mut out,
-                ));
-            }
-            seed(&mut eng, out);
-            eng.run_to_completion(20_000);
-            eng.world.cluster.verify_node_rank().unwrap();
-
-            uids.iter()
-                .map(|&u| {
-                    (
-                        u,
-                        eng.world
-                            .cluster
-                            .pod(u)
-                            .and_then(|p| p.status.node_name.clone()),
-                    )
-                })
-                .collect()
+    /// The node-rank record as captured before the rank index served it:
+    /// every schedulable node scored as a candidate in node order through
+    /// the capped collector, the winner found by the paper-literal picker
+    /// over full views and marked by name.
+    fn full_view_capture(
+        c: &ClusterSim,
+        requests: &ResourceList,
+        pinned: Option<&str>,
+    ) -> (Vec<CandidateScore>, usize, Outcome) {
+        let views = c.node_views();
+        let chosen = match pinned {
+            Some(name) => views
+                .iter()
+                .find(|v| v.name == name && requests.fits_in(&v.free())),
+            None => c.scheduler.pick_node(requests, &views).map(|i| &views[i]),
         };
-        assert_eq!(run(SchedMode::Reference), run(SchedMode::Indexed));
+        let mut prov = SchedProv::on();
+        for v in &views {
+            let fits = requests.fits_in(&v.free());
+            let rule = if fits { "node_score" } else { "node_unfit" };
+            prov.candidate_with(rule, c.scheduler.node_score(v), || v.name.clone());
+        }
+        let outcome = match chosen {
+            Some(v) => {
+                let rule = if pinned.is_some() {
+                    "pinned"
+                } else {
+                    "node_score"
+                };
+                prov.choose(&v.name, rule, c.scheduler.node_score(v));
+                Outcome::Placed {
+                    target: v.name.as_str().into(),
+                }
+            }
+            None => Outcome::Rejected {
+                reason: ReasonCode::NoCapacity,
+            },
+        };
+        (prov.candidates().to_vec(), prov.considered(), outcome)
+    }
+
+    /// The bounded capture walks only the first schedulable nodes, yet
+    /// records exactly what the full-view capture did: with down and
+    /// cordoned nodes among the first eight, a winner past the captured
+    /// window, pinned pods (placed, and on down or cordoned nodes) and
+    /// unschedulable requests.
+    #[test]
+    fn node_rank_capture_matches_full_view_capture() {
+        let mut c = ClusterSim::new(multi_cluster(12));
+        c.set_recorder(FlightRecorder::enabled());
+        let mut notes = Vec::new();
+        c.fail_node(SimTime::ZERO, "n1", &mut notes);
+        assert!(c.cordon_node("n3"));
+        assert!(c.cordon_node("n6"));
+        assert!(c.set_spatial_slices("n4", 3, 7));
+        let gpus = |n: u64| ResourceList::cpu_mem(500, 1 << 30).with_extended(NVIDIA_GPU, n);
+        let mut cases: Vec<(ResourceList, Option<&str>)> = Vec::new();
+        // Fill every schedulable node but n11 a little, so the least
+        // allocated winner is the 9th schedulable node, past the window.
+        for name in ["n0", "n2", "n4", "n5", "n7", "n8", "n9", "n10"] {
+            cases.push((gpus(1), Some(name)));
+        }
+        cases.push((gpus(1), None));
+        cases.push((ResourceList::cpu_mem(7_000, 1 << 30), None));
+        cases.push((gpus(1), Some("n1")));
+        cases.push((gpus(1), Some("n3")));
+        cases.push((gpus(3), None));
+        cases.push((gpus(2), Some("n11")));
+        cases.push((gpus(1), None));
+        cases.push((ResourceList::cpu_mem(64_000, 0), None));
+        for (i, (requests, pinned)) in cases.into_iter().enumerate() {
+            let expected = full_view_capture(&c, &requests, pinned);
+            let mut spec = PodSpec::new("img", requests);
+            spec.node_name = pinned.map(str::to_string);
+            let mut out = Vec::new();
+            let uid = c.submit_pod(SimTime::ZERO, format!("p{i}"), spec, &mut out);
+            c.handle(
+                SimTime::ZERO,
+                ClusterEvent::ScheduleAttempt { pod: uid },
+                &mut out,
+                &mut notes,
+            );
+            c.verify_node_rank().unwrap();
+            let records = c.recorder().records();
+            let rec = records.last().unwrap();
+            assert_eq!(rec.fields, vec![("pod".to_string(), uid.to_string())]);
+            let got = (rec.candidates.to_vec(), rec.considered, rec.outcome.clone());
+            assert_eq!(got, expected, "case {i} ({pinned:?})");
+        }
     }
 }

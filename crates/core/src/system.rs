@@ -84,9 +84,11 @@ pub struct KsConfig {
     pub anchor_max_retries: u32,
     /// What happens to a sharePod whose backing container crashes.
     pub restart_policy: RestartPolicy,
-    /// Which Algorithm 1 implementation KubeShare-Sched runs. Both are
-    /// decision-identical (enforced by the differential oracle); `Indexed`
-    /// serves placement from the pool's capacity indexes.
+    /// Which Algorithm 1 implementation KubeShare-Sched runs over the vGPU
+    /// pool. All modes are decision-identical (enforced by the
+    /// differential oracle); `Indexed` serves placement from the pool's
+    /// capacity indexes. Only Algorithm 1 reads it: the simulated
+    /// cluster's kube-scheduler always picks nodes from its rank index.
     pub sched_mode: SchedMode,
     /// Wall time a spatial partition reconfiguration takes once the device
     /// is drained (MIG-style instance teardown + re-creation). The device
@@ -374,10 +376,7 @@ impl KubeShareSystem {
     /// Builds KubeShare next to a cluster running the native whole-device
     /// GPU plugin (which is what DevMgr's anchor pods allocate through).
     pub fn new(cluster_cfg: ClusterConfig, cfg: KsConfig) -> Self {
-        let mut cluster = ClusterSim::new(cluster_cfg);
-        // One switch drives both layers: Algorithm 1 over the vGPU pool
-        // and kube-scheduler node selection in the simulated cluster.
-        cluster.set_sched_mode(cfg.sched_mode);
+        let cluster = ClusterSim::new(cluster_cfg);
         KubeShareSystem {
             cluster,
             cfg,
