@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
-use kubeshare::algorithm::{schedule, SchedRequest};
+use kubeshare::algorithm::{schedule_reference, SchedRequest};
 use kubeshare::locality::Locality;
 use kubeshare::pool::VgpuPool;
 
@@ -51,7 +51,9 @@ fn bench_schedule(c: &mut Criterion) {
             locality: Locality::none().with_anti_affinity("noisy-1"),
         };
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(schedule(std::hint::black_box(&req), &mut pool)));
+            b.iter(|| {
+                std::hint::black_box(schedule_reference(std::hint::black_box(&req), &mut pool))
+            });
         });
     }
     group.finish();

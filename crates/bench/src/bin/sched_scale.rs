@@ -1,8 +1,8 @@
 //! Scheduler scaling benchmark: drains a pending SharePod queue through
-//! Algorithm 1 in `Reference` and `Indexed` modes on identical seeded
-//! pools, reports decisions/sec (including a lane with the flight
-//! recorder capturing full provenance), and writes the
-//! `BENCH_sched.json` trajectory. Exits non-zero if the modes ever
+//! Algorithm 1's runtime path and its paper-literal reference oracle on
+//! identical seeded pools, reports decisions/sec (including a lane with
+//! the flight recorder capturing full provenance), and writes the
+//! `BENCH_sched.json` trajectory. Exits non-zero if the two ever
 //! diverge, if the recorder changes any decision, or if provenance
 //! capture costs more than 5 % throughput at the largest sweep point.
 //!
@@ -52,10 +52,8 @@ fn main() {
             "gpus",
             "reference dec/s",
             "indexed dec/s",
-            "auto dec/s",
             "recorded dec/s",
             "rec cost",
-            "auto picks",
             "speedup",
             "divergences",
             "final devices",
@@ -66,10 +64,8 @@ fn main() {
             p.gpus.to_string(),
             format!("{:.0}", p.reference_dps),
             format!("{:.0}", p.indexed_dps),
-            format!("{:.0}", p.auto_dps),
             format!("{:.0}", p.recorded_dps),
             format!("{:.1}%", p.recorder_overhead * 100.0),
-            p.chosen_mode.clone(),
             format!("{}x", f1(p.speedup)),
             (p.divergences + p.recorder_divergences).to_string(),
             p.final_devices.to_string(),
@@ -83,7 +79,7 @@ fn main() {
 
     let divergences: usize = points.iter().map(|p| p.divergences).sum();
     if divergences > 0 {
-        eprintln!("FAIL: {divergences} decision divergences between Reference and Indexed modes");
+        eprintln!("FAIL: {divergences} decision divergences between the runtime path and the reference oracle");
         std::process::exit(1);
     }
     let rec_divergences: usize = points.iter().map(|p| p.recorder_divergences).sum();

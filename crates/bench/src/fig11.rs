@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
-use kubeshare::algorithm::{schedule, SchedRequest};
+use kubeshare::algorithm::{schedule_reference, SchedRequest};
 use kubeshare::locality::Locality;
 use kubeshare::pool::VgpuPool;
 
@@ -70,11 +70,11 @@ pub fn measure(n: usize, iters: u32, seed: u64) -> Point {
     };
     // Warm up, then measure.
     for _ in 0..iters / 10 + 1 {
-        let _ = schedule(&req, &mut pool);
+        let _ = schedule_reference(&req, &mut pool);
     }
     let t0 = Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(schedule(std::hint::black_box(&req), &mut pool));
+        std::hint::black_box(schedule_reference(std::hint::black_box(&req), &mut pool));
     }
     let measured_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
     // The paper's controller reads each tracked SharePod from etcd when

@@ -31,7 +31,7 @@ use ks_cluster::api::pod::PodSpec;
 use ks_cluster::api::{NodeConfig, ResourceList, Uid};
 use ks_cluster::device_plugin::UnitAssignPolicy;
 use ks_cluster::latency::LatencyModel;
-use ks_cluster::scheduler::{SchedMode, ScorePolicy};
+use ks_cluster::scheduler::ScorePolicy;
 use ks_cluster::sim::{ClusterConfig, GpuPluginKind};
 use ks_gateway::{
     gateway_catalogue, DerivedTokenAuth, Gateway, GatewayConfig, SubmitOutcome, Tier,
@@ -328,12 +328,6 @@ pub fn run(cfg: &GatewayLoadConfig) -> GatewayLoadReport {
         pool_policy: PoolPolicy::Reservation {
             max_idle: nodes * cfg.gpus_per_node as usize,
         },
-        // Decision-identical to Reference, but sustains million-tenant
-        // runs: per-decision cost is an index range scan, not a full
-        // node-view materialization (Auto would pick Reference here —
-        // its crossover is tuned for decision latency on small pools,
-        // not for the allocation churn of a long soak).
-        sched_mode: SchedMode::Indexed,
         ..KsConfig::default()
     };
     let telemetry = Telemetry::enabled();

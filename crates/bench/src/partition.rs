@@ -26,9 +26,10 @@
 use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
 use ks_sim_core::time::{SimDuration, SimTime};
+use ks_telemetry::provenance::SchedProv;
 use ks_vgpu::{ClientId, IsolationMode, ShareSpec, SliceBackend, VgpuConfig};
 use ks_workloads::job::JobKind;
-use kubeshare::algorithm::{schedule_substrate, Decision, SchedMode, SchedRequest};
+use kubeshare::algorithm::{schedule, Decision, SchedRequest};
 use kubeshare::gpuid::GpuId;
 use kubeshare::locality::Locality;
 use kubeshare::pool::VgpuPool;
@@ -177,7 +178,7 @@ fn place(
         mem,
         locality: loc.clone(),
     };
-    let decision = schedule_substrate(SchedMode::Auto, substrate, &req, pool);
+    let decision = schedule(substrate, &req, pool, &mut SchedProv::off());
     let id = match decision {
         Decision::Assign(id) => id,
         Decision::NewDevice(id) => {

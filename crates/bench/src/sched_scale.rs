@@ -1,14 +1,16 @@
 //! Scheduler scaling benchmark: Algorithm 1 decisions/sec at cluster
-//! scale, `Reference` vs `Indexed` (DESIGN.md §10).
+//! scale, the runtime path vs the paper-literal reference oracle
+//! (DESIGN.md §10).
 //!
 //! For each cluster size the harness builds a seeded vGPU pool (devices
 //! spread 4-per-node, a share pre-loaded with tenants so capacity keys,
 //! affinity groups, anti-affinity classes, and tenant exclusions are all
 //! populated), generates one pending queue of SharePod requests, and
-//! drains it through [`schedule_batch`] once per mode on clones of the
-//! same pool. Decision vectors must match entry-for-entry — the bench
-//! doubles as a large-scale differential oracle and the `sched_scale`
-//! binary exits non-zero on any divergence.
+//! drains it through [`schedule_batch`] and through
+//! [`schedule_reference`] on clones of the same pool. Decision vectors
+//! must match entry-for-entry — the bench doubles as a large-scale
+//! differential oracle and the `sched_scale` binary exits non-zero on
+//! any divergence.
 //!
 //! Demands are scaled so the queue roughly packs the cluster (≈5 pods
 //! per GPU at the default 10k-GPU / 50k-pod point), keeping the pool near
@@ -21,7 +23,7 @@ use ks_sim_core::prelude::SimTime;
 use ks_sim_core::rng::SimRng;
 use ks_telemetry::FlightRecorder;
 use kubeshare::algorithm::{
-    schedule_batch, schedule_batch_recorded, BatchEntry, Decision, SchedMode, SchedRequest,
+    schedule_batch, schedule_reference, BatchEntry, Decision, SchedRequest,
 };
 use kubeshare::locality::Locality;
 use kubeshare::pool::VgpuPool;
@@ -55,13 +57,11 @@ pub struct ScalePoint {
     pub gpus: usize,
     /// Queue length drained.
     pub pods: usize,
-    /// Reference-mode throughput, decisions per second.
+    /// Reference-oracle throughput, decisions per second.
     pub reference_dps: f64,
-    /// Indexed-mode throughput, decisions per second.
+    /// Runtime-path (indexed) throughput, decisions per second.
     pub indexed_dps: f64,
-    /// Auto-mode throughput, decisions per second (crossover pick).
-    pub auto_dps: f64,
-    /// Indexed-mode throughput with an **enabled flight recorder**
+    /// Runtime-path throughput with an **enabled flight recorder**
     /// capturing full provenance for every decision.
     pub recorded_dps: f64,
     /// `1 - recorded_dps / indexed_dps`: the fractional throughput cost
@@ -70,16 +70,13 @@ pub struct ScalePoint {
     /// Provenance records captured on the recorded lane (one per entry).
     pub recorder_records: u64,
     /// Entries whose decision differed between the plain and the
-    /// recorder-enabled indexed drains (must be 0: observation is never
+    /// recorder-enabled runtime drains (must be 0: observation is never
     /// policy).
     pub recorder_divergences: usize,
     /// `indexed_dps / reference_dps`.
     pub speedup: f64,
-    /// The implementation `SchedMode::Auto` resolved to at this point's
-    /// starting pool size (`"reference"` below the crossover, `"indexed"`
-    /// at or above it).
-    pub chosen_mode: String,
-    /// Entries whose decisions differed between modes (must be 0).
+    /// Entries whose decisions differed between the runtime path and the
+    /// reference oracle (must be 0).
     pub divergences: usize,
     /// Pool size after the drain (devices, including NewDevice growth).
     pub final_devices: usize,
@@ -154,16 +151,22 @@ fn gen_entries(gpus: usize, pods: usize, rng: &mut SimRng) -> Vec<BatchEntry> {
         .collect()
 }
 
-fn time_mode(
-    mode: SchedMode,
-    pool: &VgpuPool,
-    entries: &[BatchEntry],
-) -> (Vec<(Uid, Decision)>, f64, usize) {
+/// Drains the queue through the reference oracle, applying each
+/// decision as a batch drain does; returns the decisions and the
+/// throughput.
+fn time_reference(pool: &VgpuPool, entries: &[BatchEntry]) -> (Vec<(Uid, Decision)>, f64) {
     let mut p = pool.clone();
     let start = Instant::now();
-    let out = schedule_batch(mode, entries, &mut p);
+    let out: Vec<(Uid, Decision)> = entries
+        .iter()
+        .map(|e| {
+            let decision = schedule_reference(&e.req, &mut p);
+            e.apply(&decision, &mut p);
+            (e.uid, decision)
+        })
+        .collect();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (out, entries.len() as f64 / secs, p.len())
+    (out, entries.len() as f64 / secs)
 }
 
 /// Chunks per lane for the recorder-overhead pair. The fractional cost
@@ -175,7 +178,7 @@ fn time_mode(
 /// than a chunk hits both lanes equally.
 const OVERHEAD_CHUNKS: usize = 32;
 
-/// Times the plain indexed drain and the indexed drain with an enabled
+/// Times the bare runtime drain and the runtime drain with an enabled
 /// flight recorder (at the production-default ring depth — overwriting a
 /// recycled slot is O(1), so eviction does not skew the measurement) as
 /// a chunk-interleaved pair. Returns both decision vectors, both
@@ -196,6 +199,7 @@ fn time_overhead_pair(
     let mut idx_pool = pool.clone();
     let mut rec_pool = pool.clone();
     let recorder = FlightRecorder::enabled();
+    let bare = FlightRecorder::disabled();
     let mut idx_out = Vec::with_capacity(entries.len());
     let mut rec_out = Vec::with_capacity(entries.len());
     let mut idx_secs = 0.0f64;
@@ -207,13 +211,12 @@ fn time_overhead_pair(
     for (i, part) in entries.chunks(chunk).enumerate() {
         let mut run_idx = |idx_out: &mut Vec<(Uid, Decision)>| {
             let start = Instant::now();
-            idx_out.extend(schedule_batch(SchedMode::Indexed, part, &mut idx_pool));
+            idx_out.extend(schedule_batch(part, &mut idx_pool, SimTime::ZERO, &bare));
             idx_secs += start.elapsed().as_secs_f64();
         };
         let mut run_rec = |rec_out: &mut Vec<(Uid, Decision)>| {
             let start = Instant::now();
-            rec_out.extend(schedule_batch_recorded(
-                SchedMode::Indexed,
+            rec_out.extend(schedule_batch(
                 part,
                 &mut rec_pool,
                 SimTime::ZERO,
@@ -255,8 +258,7 @@ pub fn run_point(gpus: usize, pods: usize, seed: u64) -> ScalePoint {
     let mut rng = SimRng::seed_from_u64(seed ^ (gpus as u64).rotate_left(17));
     let pool = build_pool(gpus, &mut rng);
     let entries = gen_entries(gpus, pods, &mut rng);
-    let (ref_out, reference_dps, _) = time_mode(SchedMode::Reference, &pool, &entries);
-    let (auto_out, auto_dps, _) = time_mode(SchedMode::Auto, &pool, &entries);
+    let (ref_out, reference_dps) = time_reference(&pool, &entries);
     let mut best = time_overhead_pair(&pool, &entries);
     for _ in 1..OVERHEAD_TRIALS {
         if 1.0 - best.4 / best.1 <= OVERHEAD_BOUND {
@@ -269,27 +271,17 @@ pub fn run_point(gpus: usize, pods: usize, seed: u64) -> ScalePoint {
     }
     let (idx_out, indexed_dps, final_devices, rec_out, recorded_dps, recorder_records) = best;
     let recorder_divergences = idx_out.iter().zip(&rec_out).filter(|(a, b)| a != b).count();
-    // All three decision vectors must agree entry-for-entry: the two fixed
-    // implementations are the differential contract, and `Auto` merely
-    // picks between them per decision.
-    let divergences = ref_out
-        .iter()
-        .zip(&idx_out)
-        .zip(&auto_out)
-        .filter(|((a, b), c)| a != b || *a != *c)
-        .count();
+    let divergences = ref_out.iter().zip(&idx_out).filter(|(a, b)| a != b).count();
     ScalePoint {
         gpus,
         pods,
         reference_dps,
         indexed_dps,
-        auto_dps,
         recorded_dps,
         recorder_overhead: 1.0 - recorded_dps / indexed_dps,
         recorder_records,
         recorder_divergences,
         speedup: indexed_dps / reference_dps,
-        chosen_mode: SchedMode::Auto.resolve(pool.len()).label().to_string(),
         divergences,
         final_devices,
     }
@@ -337,7 +329,7 @@ mod tests {
         let points = run(&cfg);
         assert_eq!(points.len(), 2);
         for p in &points {
-            assert_eq!(p.divergences, 0, "modes diverged at {} GPUs", p.gpus);
+            assert_eq!(p.divergences, 0, "oracle diverged at {} GPUs", p.gpus);
             assert_eq!(
                 p.recorder_divergences, 0,
                 "recorder changed decisions at {} GPUs",
@@ -345,10 +337,8 @@ mod tests {
             );
             assert_eq!(p.recorder_records, p.pods as u64);
             assert!(p.recorded_dps > 0.0);
-            assert!(p.reference_dps > 0.0 && p.indexed_dps > 0.0 && p.auto_dps > 0.0);
+            assert!(p.reference_dps > 0.0 && p.indexed_dps > 0.0);
             assert!(p.final_devices >= p.gpus);
-            // Both sweep points sit far below the crossover.
-            assert_eq!(p.chosen_mode, "reference");
         }
         let json = to_json(&cfg, &points);
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();

@@ -15,13 +15,11 @@
 //!   labels, then **worst-fit** among devices *with* affinity labels
 //!   (keeping room for their future group members), then a new device.
 //!
-//! Two implementations exist behind [`SchedMode`]: the paper-faithful
-//! linear-scan reference ([`schedule`]) and an indexed path that serves
-//! the same steps from [`VgpuPool`]'s capacity indexes in logarithmic
-//! time. They produce byte-identical decisions; the differential oracle
-//! in `tests/sched_differential.rs` enforces this (DESIGN.md §10).
-
-pub use ks_cluster::scheduler::SchedMode;
+//! The runtime path, [`schedule`], serves these steps from
+//! [`VgpuPool`]'s slot-addressed capacity indexes by ordered range scans.
+//! The paper-literal linear scan survives as [`schedule_reference`], the
+//! oracle the differential tests hold the runtime path to byte-identical
+//! decisions against (`tests/sched_differential.rs`, DESIGN.md §10).
 
 use ks_cluster::api::Uid;
 use ks_partition::{Profile, Substrate, TableState, SLOTS_PER_GPU};
@@ -85,6 +83,16 @@ fn has_capacity(req: &SchedRequest, dev: &PoolDevice) -> bool {
     req.util <= dev.util_free + 1e-9 && req.mem <= dev.mem_free + 1e-9
 }
 
+/// Step 2's filter: idle devices are clean and always pass; others must
+/// match the exclusion label, hold no conflicting anti-affinity label,
+/// and have residual capacity.
+fn passes_filter(req: &SchedRequest, d: &PoolDevice) -> bool {
+    d.is_idle()
+        || (excl_matches(&req.locality.exclusion, &d.excl)
+            && !anti_aff_conflicts(&req.locality.anti_affinity, d)
+            && has_capacity(req, d))
+}
+
 /// Fit metric: total residual after hypothetical placement. Best-fit
 /// minimizes it (pack tight); worst-fit maximizes it (keep room).
 fn residual_after(req: &SchedRequest, dev: &PoolDevice) -> f64 {
@@ -98,178 +106,33 @@ pub fn fit_residual(req: &SchedRequest, pool: &VgpuPool, gpuid: &GpuId) -> Optio
     pool.get(gpuid).map(|d| residual_after(req, d))
 }
 
-/// Runs Algorithm 1. Pure with respect to pool *contents*; only consumes a
-/// fresh id from the pool's id counter when a new device is needed.
-pub fn schedule(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_prov(req, pool, &mut SchedProv::off())
-}
-
-/// [`schedule`] with a provenance collector. The collector is a pure
-/// observer: every capture call is gated on its enablement and mutates
-/// nothing the algorithm reads, so decisions are identical with `prov` on
-/// or off (enforced by the differential oracles).
-pub fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decision {
-    // ---- Step 1: affinity (lines 1–14) ----
-    if let Some(aff) = &req.locality.affinity {
-        let target = pool
-            .devices()
-            .find(|d| !d.releasing && !d.is_spatial() && d.aff.contains(aff));
-        if let Some(d) = target {
-            prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
-            prov.note(|| format!("affinity '{aff}' binds to {}", d.id));
-            if !excl_matches(&req.locality.exclusion, &d.excl) {
-                prov.reject(ReasonCode::AffinityExcluded);
-                return Decision::Reject(RejectReason::ExclusionConflict);
-            }
-            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
-                prov.reject(ReasonCode::AntiAffinityConflict);
-                return Decision::Reject(RejectReason::AntiAffinityConflict);
-            }
-            if !has_capacity(req, d) {
-                prov.reject(ReasonCode::AffinityNoCapacity);
-                return Decision::Reject(RejectReason::InsufficientCapacity);
-            }
-            prov.choose(d.id.as_str(), "affinity", d.fit_key());
-            return Decision::Assign(d.id.clone());
-        }
-        // No device carries the label yet: prefer an idle device so the
-        // affinity group has maximal room (lines 9–14).
-        if let Some(d) = pool
-            .devices()
-            .find(|d| !d.releasing && !d.is_spatial() && d.is_idle())
-        {
-            prov.candidate_with("idle", d.fit_key(), || d.id.as_str());
-            prov.choose(d.id.as_str(), "idle", d.fit_key());
-            prov.note(|| format!("no device carries affinity '{aff}'; seed group on idle device"));
-            return Decision::Assign(d.id.clone());
-        }
-        prov.note(|| format!("no device carries affinity '{aff}' and none idle; new device"));
-        return Decision::NewDevice(pool.fresh_id());
-    }
-
-    // ---- Step 2: filter (lines 15–20) ----
-    let candidates: Vec<&PoolDevice> = pool
-        .devices()
-        .filter(|d| {
-            if d.releasing || d.is_spatial() {
-                return false; // handed back, or on the spatial substrate
-            }
-            if d.is_idle() {
-                return true; // clean device: constraints are vacuous
-            }
-            excl_matches(&req.locality.exclusion, &d.excl)
-                && !anti_aff_conflicts(&req.locality.anti_affinity, d)
-                && has_capacity(req, d)
-        })
-        .collect();
-    prov.note(|| {
-        format!(
-            "filter: {} of {} devices pass",
-            candidates.len(),
-            pool.len()
-        )
-    });
-
-    // ---- Step 3: placement (lines 21–26) ----
-    // The fit metric is the residual after placement, `fit_key − (u+m)`;
-    // the request term is constant across candidates, so ordering by the
-    // device's fit key alone selects the same device — and does it with
-    // float comparisons that an ordered index reproduces bit-for-bit.
-    // Best fit among devices without affinity labels…
-    if prov.is_on() {
-        for d in &candidates {
-            let rule = if d.aff.is_empty() {
-                "best_fit"
-            } else {
-                "worst_fit"
-            };
-            prov.candidate_with(rule, d.fit_key(), || d.id.as_str());
-        }
-    }
-    let best = candidates
-        .iter()
-        .filter(|d| d.aff.is_empty())
-        .min_by(|a, b| {
-            a.fit_key()
-                .total_cmp(&b.fit_key())
-                .then_with(|| a.id.cmp(&b.id))
-        });
-    if let Some(d) = best {
-        prov.choose(d.id.as_str(), "best_fit", d.fit_key());
-        prov.note_static("best_fit over plain devices (min fit key, id tie-break)");
-        return Decision::Assign(d.id.clone());
-    }
-    // …worst fit among devices with affinity labels…
-    let worst = candidates
-        .iter()
-        .filter(|d| !d.aff.is_empty())
-        .max_by(|a, b| {
-            a.fit_key()
-                .total_cmp(&b.fit_key())
-                .then_with(|| b.id.cmp(&a.id))
-        });
-    if let Some(d) = worst {
-        prov.choose(d.id.as_str(), "worst_fit", d.fit_key());
-        prov.note_static("worst_fit over affinity devices (max fit key, id tie-break)");
-        return Decision::Assign(d.id.clone());
-    }
-    // …else a brand-new vGPU.
-    prov.note_static("no existing device passes; new device");
-    Decision::NewDevice(pool.fresh_id())
-}
-
-/// Margin subtracted from the fit-range lower bound so the indexed scan
-/// provably includes every device [`has_capacity`] (epsilon `1e-9` per
-/// axis) would admit: a device passing both axes has fit key at least
-/// `need − 2e-9`, and `2e-9 < 1e-8` with room for rounding to spare.
-const FIT_RANGE_MARGIN: f64 = 1e-8;
-
-/// Runs Algorithm 1 over the pool's capacity indexes. Same decision as
-/// [`schedule`], step by step:
+/// Runs the scheduler for a request on a given [`Substrate`]: requests
+/// that want a spatial slice take the fragmentation-aware slice path;
+/// everything else takes Algorithm 1 over the pool's capacity indexes —
+/// a `TimeSlice`-only workload is decision-identical to the paper-literal
+/// [`schedule_reference`] (enforced by `tests/sched_differential.rs` and
+/// `tests/substrate_differential.rs`).
 ///
-/// * the affinity target is the first (id-ordered) device carrying the
-///   label — `aff_index`'s leading entry;
-/// * the idle fallback is the first unattached device — the `unattached`
-///   index's leading entry;
-/// * best-fit scans `plain_fit` ascending by (fit key, id) from the
-///   request's capacity bound, so the first device passing the filters is
-///   the reference's minimum; worst-fit scans `labeled_fit` descending by
-///   fit key (ascending id within a key), so the first survivor is the
-///   reference's maximum with the same smallest-id tie-break.
-pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_indexed_prov(req, pool, &mut SchedProv::off())
-}
-
-/// [`schedule_indexed`] with a provenance collector. Candidates captured
-/// are the devices the range scans actually examined before the first
-/// survivor — faithful to this implementation's work, which may differ
-/// from the reference path's candidate set even though the chosen device
-/// never does.
-pub fn schedule_indexed_prov(
+/// `prov` is a pure observer: every capture call is gated on its
+/// enablement and mutates nothing the algorithm reads, so decisions are
+/// identical with it on or off. With capture on, the candidates recorded
+/// are the devices the range scans actually examined.
+pub fn schedule(
+    substrate: Substrate,
     req: &SchedRequest,
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
 ) -> Decision {
+    if substrate.wants_spatial(req.util, req.mem) {
+        prov.note_static("substrate routes to the spatial (slice) path");
+        return schedule_spatial(req, pool, prov);
+    }
     // ---- Step 1: affinity ----
     if let Some(aff) = &req.locality.affinity {
         if let Some(id) = pool.affinity_target(aff) {
             let d = pool.get(id).expect("indexed device in pool");
-            prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
             prov.note_static("affinity label binds to its existing carrier (see candidates)");
-            if !excl_matches(&req.locality.exclusion, &d.excl) {
-                prov.reject(ReasonCode::AffinityExcluded);
-                return Decision::Reject(RejectReason::ExclusionConflict);
-            }
-            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
-                prov.reject(ReasonCode::AntiAffinityConflict);
-                return Decision::Reject(RejectReason::AntiAffinityConflict);
-            }
-            if !has_capacity(req, d) {
-                prov.reject(ReasonCode::AffinityNoCapacity);
-                return Decision::Reject(RejectReason::InsufficientCapacity);
-            }
-            prov.choose(d.id.as_str(), "affinity", d.fit_key());
-            return Decision::Assign(d.id.clone());
+            return join_affinity_group(req, d, prov);
         }
         if let Some(id) = pool.first_unattached() {
             let id = id.clone();
@@ -286,127 +149,175 @@ pub fn schedule_indexed_prov(
     // idle), so clamping the bound to 2.0 keeps them in range even when
     // the request alone could never fit an existing device.
     let min_fit = (req.util + req.mem - FIT_RANGE_MARGIN).clamp(0.0, 2.0);
-    let passes = |d: &PoolDevice| {
-        d.is_idle()
-            || (excl_matches(&req.locality.exclusion, &d.excl)
-                && !anti_aff_conflicts(&req.locality.anti_affinity, d)
-                && has_capacity(req, d))
-    };
-    // The scans below are the only per-device work at cluster scale, so
-    // the disabled-collector path runs them with no instrumentation at
-    // all — not even a counter — and the capturing path stages `(fit
-    // key, id)` pairs into a small stack buffer (hot lines, pipelined
-    // stores), building the collector's candidate records in a burst
-    // after the loop. Writing the 48-byte candidate records inside the
-    // pointer-chasing scan instead stalls the store buffer for ~130 ns
-    // per captured candidate at the 10k-GPU sweep point, and the winner's
-    // capture slot is tracked so the string-searching
-    // [`SchedProv::choose`] is skipped.
-    if !prov.is_on() {
-        for d in pool.plain_fit_range(min_fit) {
-            if passes(d) {
-                return Decision::Assign(d.id.clone());
-            }
-        }
-        for d in pool.labeled_fit_range_desc(min_fit) {
-            if passes(d) {
-                return Decision::Assign(d.id.clone());
-            }
-        }
-        return Decision::NewDevice(pool.fresh_id());
-    }
-    let mut chosen: Option<(GpuId, f64)> = None;
-    let mut winner_slot: Option<usize> = None;
-    let mut scanned = 0usize;
-    let mut seen: [(f64, &str); SchedProv::MAX_CANDIDATES] = Default::default();
-    let mut cap = 0usize;
-    let room = prov.scan_room();
-    for d in pool.plain_fit_range(min_fit) {
-        scanned += 1;
-        let pushed = cap < room;
-        if pushed {
-            seen[cap] = (d.fit_key(), d.id.as_str());
-            cap += 1;
-        }
-        if passes(d) {
-            chosen = Some((d.id.clone(), d.fit_key()));
-            if pushed {
-                winner_slot = Some(cap - 1);
-            }
-            break;
-        }
-    }
-    prov.add_considered(scanned);
-    for &(key, id) in &seen[..cap] {
-        prov.scan_push("best_fit", key, id);
-    }
-    if let Some((id, key)) = &chosen {
-        match winner_slot {
-            Some(i) => prov.choose_at(i, "best_fit", *key),
-            None => prov.choose_append(id.as_str(), "best_fit", *key),
-        }
+    let passes = |d: &PoolDevice| passes_filter(req, d);
+    if let Some(d) = first_survivor(pool.plain_fit_range(min_fit), passes, "best_fit", prov) {
         prov.note_static("best_fit: first survivor of ascending plain-fit scan");
+        return Decision::Assign(d.id.clone());
     }
-    if let Some((id, _)) = chosen {
-        return Decision::Assign(id);
-    }
-    scanned = 0;
-    winner_slot = None;
-    let mut cap = 0usize;
-    let room = prov.scan_room();
-    for d in pool.labeled_fit_range_desc(min_fit) {
-        scanned += 1;
-        let pushed = cap < room;
-        if pushed {
-            seen[cap] = (d.fit_key(), d.id.as_str());
-            cap += 1;
-        }
-        if passes(d) {
-            chosen = Some((d.id.clone(), d.fit_key()));
-            if pushed {
-                winner_slot = Some(cap - 1);
-            }
-            break;
-        }
-    }
-    prov.add_considered(scanned);
-    for &(key, id) in &seen[..cap] {
-        prov.scan_push("worst_fit", key, id);
-    }
-    if let Some((id, key)) = &chosen {
-        match winner_slot {
-            Some(i) => prov.choose_at(i, "worst_fit", *key),
-            None => prov.choose_append(id.as_str(), "worst_fit", *key),
-        }
+    if let Some(d) = first_survivor(
+        pool.labeled_fit_range_desc(min_fit),
+        passes,
+        "worst_fit",
+        prov,
+    ) {
         prov.note_static("worst_fit: first survivor of descending labeled-fit scan");
-    }
-    if let Some((id, _)) = chosen {
-        return Decision::Assign(id);
+        return Decision::Assign(d.id.clone());
     }
     prov.note_static("no indexed device in fit range passes; new device");
     Decision::NewDevice(pool.fresh_id())
 }
 
-/// Runs Algorithm 1 with the implementation selected by `mode`. `Auto`
-/// resolves per decision against the current pool size, so a pool that
-/// grows through the [`SchedMode::AUTO_CROSSOVER`] switches to the
-/// indexed path mid-stream — both implementations are decision-identical,
-/// so the switch is invisible in the decision trace.
-pub fn schedule_with(mode: SchedMode, req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_with_prov(mode, req, pool, &mut SchedProv::off())
+/// Margin subtracted from the fit-range lower bound so the indexed scan
+/// provably includes every device [`has_capacity`] (epsilon `1e-9` per
+/// axis) would admit: a device passing both axes has fit key at least
+/// `need − 2e-9`, and `2e-9 < 1e-8` with room for rounding to spare.
+const FIT_RANGE_MARGIN: f64 = 1e-8;
+
+/// The placement step of both rules: the first device of an index scan
+/// that passes the filter. Best-fit scans `plain_fit` ascending by (fit
+/// key, id), so the first survivor is the reference's minimum; worst-fit
+/// scans `labeled_fit` descending by fit key (ascending id within a key),
+/// so the first survivor is the reference's maximum with the same
+/// smallest-id tie-break.
+///
+/// With capture off this is a bare `find`. With capture on, the first
+/// [`SchedProv::scan_room`] examined devices are written straight into
+/// the collector as the scan passes them, and the winner's capture slot
+/// is known, so the string-searching [`SchedProv::choose`] is skipped.
+fn first_survivor<'p>(
+    mut scan: impl Iterator<Item = &'p PoolDevice>,
+    passes: impl Fn(&PoolDevice) -> bool,
+    rule: &'static str,
+    prov: &mut SchedProv,
+) -> Option<&'p PoolDevice> {
+    if !prov.is_on() {
+        return scan.find(|d| passes(d));
+    }
+    // Capture slots are collector-wide: an earlier scan of this decision
+    // may already hold the first `base` of them.
+    let base = prov.candidates().len();
+    let room = prov.scan_room();
+    let (mut scanned, mut captured) = (0usize, 0usize);
+    let winner = scan.find(|d| {
+        scanned += 1;
+        if captured < room {
+            prov.scan_push(rule, d.fit_key(), d.id.as_str());
+            captured += 1;
+        }
+        passes(d)
+    });
+    prov.add_considered(scanned);
+    if let Some(d) = winner {
+        // The winner was captured iff the scan stopped inside the window.
+        if scanned <= room {
+            prov.choose_at(base + captured - 1, rule, d.fit_key());
+        } else {
+            prov.choose_append(d.id.as_str(), rule, d.fit_key());
+        }
+    }
+    winner
 }
 
-/// [`schedule_with`] with a provenance collector.
-pub fn schedule_with_prov(
-    mode: SchedMode,
-    req: &SchedRequest,
-    pool: &mut VgpuPool,
-    prov: &mut SchedProv,
-) -> Decision {
-    match mode.resolve(pool.len()) {
-        SchedMode::Reference => schedule_prov(req, pool, prov),
-        SchedMode::Indexed | SchedMode::Auto => schedule_indexed_prov(req, pool, prov),
+/// Step 1's verdict on the device already carrying the request's
+/// affinity label: the group member binds there or nowhere.
+fn join_affinity_group(req: &SchedRequest, d: &PoolDevice, prov: &mut SchedProv) -> Decision {
+    prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
+    if !excl_matches(&req.locality.exclusion, &d.excl) {
+        prov.reject(ReasonCode::AffinityExcluded);
+        return Decision::Reject(RejectReason::ExclusionConflict);
     }
+    if anti_aff_conflicts(&req.locality.anti_affinity, d) {
+        prov.reject(ReasonCode::AntiAffinityConflict);
+        return Decision::Reject(RejectReason::AntiAffinityConflict);
+    }
+    if !has_capacity(req, d) {
+        prov.reject(ReasonCode::AffinityNoCapacity);
+        return Decision::Reject(RejectReason::InsufficientCapacity);
+    }
+    prov.choose(d.id.as_str(), "affinity", d.fit_key());
+    Decision::Assign(d.id.clone())
+}
+
+/// The paper-literal Algorithm 1 over time-sliced devices: every step is
+/// a linear scan of the whole pool in id order. Not used at runtime; it
+/// is the named oracle [`schedule`] must match decision for decision
+/// (the differential tests), and the baseline `fig11` and the
+/// `sched_algo` bench time. It spells out the Step-1 verdict and the
+/// Step-2 filter itself rather than sharing the runtime path's helpers,
+/// so a mistake in either cannot hide from the differential tests; only
+/// the label/capacity predicates are shared. Pure with respect to pool *contents*; only
+/// consumes a fresh id from the pool's id counter when a new device is
+/// needed.
+pub fn schedule_reference(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
+    let schedulable = |d: &&PoolDevice| !d.releasing && !d.is_spatial();
+    // ---- Step 1: affinity (lines 1–14) ----
+    if let Some(aff) = &req.locality.affinity {
+        if let Some(d) = pool
+            .devices()
+            .filter(schedulable)
+            .find(|d| d.aff.contains(aff))
+        {
+            if !excl_matches(&req.locality.exclusion, &d.excl) {
+                return Decision::Reject(RejectReason::ExclusionConflict);
+            }
+            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
+                return Decision::Reject(RejectReason::AntiAffinityConflict);
+            }
+            if !has_capacity(req, d) {
+                return Decision::Reject(RejectReason::InsufficientCapacity);
+            }
+            return Decision::Assign(d.id.clone());
+        }
+        // No device carries the label yet: prefer an idle device so the
+        // affinity group has maximal room (lines 9–14).
+        if let Some(d) = pool.devices().filter(schedulable).find(|d| d.is_idle()) {
+            return Decision::Assign(d.id.clone());
+        }
+        return Decision::NewDevice(pool.fresh_id());
+    }
+
+    // ---- Step 2: filter (lines 15–20) ----
+    let candidates: Vec<&PoolDevice> = pool
+        .devices()
+        .filter(schedulable)
+        .filter(|d| {
+            d.is_idle() // clean device: constraints are vacuous
+                || (excl_matches(&req.locality.exclusion, &d.excl)
+                    && !anti_aff_conflicts(&req.locality.anti_affinity, d)
+                    && has_capacity(req, d))
+        })
+        .collect();
+
+    // ---- Step 3: placement (lines 21–26) ----
+    // The fit metric is the residual after placement, `fit_key − (u+m)`;
+    // the request term is constant across candidates, so ordering by the
+    // device's fit key alone selects the same device — and does it with
+    // float comparisons that an ordered index reproduces bit-for-bit.
+    // Best fit among devices without affinity labels…
+    let best = candidates
+        .iter()
+        .filter(|d| d.aff.is_empty())
+        .min_by(|a, b| {
+            a.fit_key()
+                .total_cmp(&b.fit_key())
+                .then_with(|| a.id.cmp(&b.id))
+        });
+    // …worst fit among devices with affinity labels…
+    let worst = || {
+        candidates
+            .iter()
+            .filter(|d| !d.aff.is_empty())
+            .max_by(|a, b| {
+                a.fit_key()
+                    .total_cmp(&b.fit_key())
+                    .then_with(|| b.id.cmp(&a.id))
+            })
+    };
+    if let Some(d) = best.or_else(worst) {
+        return Decision::Assign(d.id.clone());
+    }
+    // …else a brand-new vGPU.
+    Decision::NewDevice(pool.fresh_id())
 }
 
 /// A device's (free, reachable) capacity fractions for the pool
@@ -442,18 +353,9 @@ fn free_view(d: &PoolDevice) -> (f64, f64) {
 /// enough total free slots, the verdict is [`Decision::Reconfigure`] —
 /// the capacity exists and only the layout blocks it, so the caller
 /// should pay the explicit reconfiguration cost rather than burn a whole
-/// new physical GPU.
-pub fn schedule_spatial(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_spatial_prov(req, pool, &mut SchedProv::off())
-}
-
-/// [`schedule_spatial`] with a provenance collector capturing the
-/// fragmentation score of every placeable candidate.
-pub fn schedule_spatial_prov(
-    req: &SchedRequest,
-    pool: &mut VgpuPool,
-    prov: &mut SchedProv,
-) -> Decision {
+/// new physical GPU. The collector captures the fragmentation score of
+/// every placeable candidate.
+fn schedule_spatial(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decision {
     let demand = req.util.max(req.mem);
     let Some(profile) = Profile::smallest_covering(demand) else {
         prov.reject(ReasonCode::DemandOverCapacity);
@@ -605,36 +507,6 @@ pub fn schedule_spatial_prov(
     Decision::NewDevice(pool.fresh_id())
 }
 
-/// Runs the scheduler for a request on a given [`Substrate`]: requests
-/// that want a spatial slice go through [`schedule_spatial`]; everything
-/// else takes the token-lease path [`schedule_with`] *unchanged* — a
-/// `TimeSlice`-only workload is decision-identical to the pre-substrate
-/// scheduler (enforced by `tests/substrate_differential.rs`).
-pub fn schedule_substrate(
-    mode: SchedMode,
-    substrate: Substrate,
-    req: &SchedRequest,
-    pool: &mut VgpuPool,
-) -> Decision {
-    schedule_substrate_prov(mode, substrate, req, pool, &mut SchedProv::off())
-}
-
-/// [`schedule_substrate`] with a provenance collector.
-pub fn schedule_substrate_prov(
-    mode: SchedMode,
-    substrate: Substrate,
-    req: &SchedRequest,
-    pool: &mut VgpuPool,
-    prov: &mut SchedProv,
-) -> Decision {
-    if substrate.wants_spatial(req.util, req.mem) {
-        prov.note_static("substrate routes to the spatial (slice) path");
-        schedule_spatial_prov(req, pool, prov)
-    } else {
-        schedule_with_prov(mode, req, pool, prov)
-    }
-}
-
 /// Maps a [`Decision`] and its collector to a provenance [`Outcome`],
 /// preferring the collector's precise [`ReasonCode`] over the coarse
 /// [`RejectReason`] when both exist.
@@ -674,91 +546,63 @@ pub struct BatchEntry {
     pub req: SchedRequest,
 }
 
-/// Drains a pending queue in one pass with shared pool state: each entry
-/// is scheduled in order and its decision *applied* to the pool before
-/// the next entry runs — `Assign` attaches the demand, `NewDevice`
-/// inserts the creating vGPU and attaches, `Reject` leaves the pool
-/// untouched — mirroring how `KubeShareSystem` binds each decision before
-/// the controller sees the next pending sharePod. Entries must already be
-/// in deterministic (uid) order; both modes then produce identical
-/// decision vectors.
-pub fn schedule_batch(
-    mode: SchedMode,
-    entries: &[BatchEntry],
-    pool: &mut VgpuPool,
-) -> Vec<(Uid, Decision)> {
-    entries
-        .iter()
-        .map(|e| {
-            let decision = schedule_with(mode, &e.req, pool);
-            let target = match &decision {
-                Decision::Assign(id) => Some(id.clone()),
-                Decision::NewDevice(id) => {
-                    pool.insert_creating(id.clone());
-                    Some(id.clone())
-                }
-                // The time-slice path never proposes a reconfiguration.
-                Decision::Reconfigure(_) | Decision::Reject(_) => None,
-            };
-            if let Some(id) = target {
-                pool.attach(
-                    &id,
-                    e.uid,
-                    e.req.util,
-                    e.req.mem,
-                    e.req.locality.affinity.as_deref(),
-                    e.req.locality.anti_affinity.as_deref(),
-                    e.req.locality.exclusion.as_deref(),
-                );
+impl BatchEntry {
+    /// Applies this entry's decision to the pool the way KubeShare-Sched
+    /// binds it: `Assign` attaches the demand, `NewDevice` inserts the
+    /// creating vGPU and attaches, `Reject` leaves the pool untouched.
+    pub fn apply(&self, decision: &Decision, pool: &mut VgpuPool) {
+        let id = match decision {
+            Decision::Assign(id) => id,
+            Decision::NewDevice(id) => {
+                pool.insert_creating(id.clone());
+                id
             }
-            (e.uid, decision)
-        })
-        .collect()
+            // The time-slice path never proposes a reconfiguration.
+            Decision::Reconfigure(_) | Decision::Reject(_) => return,
+        };
+        let loc = &self.req.locality;
+        pool.attach(
+            id,
+            self.uid,
+            self.req.util,
+            self.req.mem,
+            loc.affinity.as_deref(),
+            loc.anti_affinity.as_deref(),
+            loc.exclusion.as_deref(),
+        );
+    }
 }
 
-/// [`schedule_batch`] with every decision's provenance appended to a
-/// [`FlightRecorder`]. With a disabled recorder this is decision-identical
-/// to [`schedule_batch`] at the cost of one branch per entry — the
-/// recorder-overhead guard in `ks-bench sched_scale` times exactly this
-/// pair.
-pub fn schedule_batch_recorded(
-    mode: SchedMode,
+/// Drains a pending queue in one pass with shared pool state: each entry
+/// is scheduled in order on the time-slice substrate and its decision
+/// [applied](BatchEntry::apply) to the pool before the next entry runs,
+/// mirroring how `KubeShareSystem` binds each decision before the
+/// controller sees the next pending sharePod. Entries must already be in
+/// deterministic (uid) order.
+///
+/// An enabled `recorder` receives every decision's provenance, stamped
+/// `at`; a disabled one makes this the bare drain, decision-identical to
+/// the recorded one — the recorder-overhead guard in `ks-bench
+/// sched_scale` times exactly this pair. One scratch collector and one
+/// recorder session serve the whole batch: `record_scratch` copies only
+/// the visible candidates/chain into the ring slot and resets the
+/// collector, and the session holds the recorder lock across the drain,
+/// so the per-decision cost is flat regardless of record size or ring
+/// depth.
+pub fn schedule_batch(
     entries: &[BatchEntry],
     pool: &mut VgpuPool,
     at: SimTime,
     recorder: &FlightRecorder,
 ) -> Vec<(Uid, Decision)> {
-    // One scratch collector and one recorder session for the whole
-    // batch: `record_scratch` clones only the visible candidates/chain
-    // into the ring slot and resets the collector, and the session holds
-    // the recorder lock across the drain, so the per-decision cost is
-    // flat regardless of record size or ring depth.
     let mut prov = SchedProv::for_recorder(recorder);
     let mut session = recorder.session();
     entries
         .iter()
         .map(|e| {
-            let decision = schedule_with_prov(mode, &e.req, pool, &mut prov);
-            let target = match &decision {
-                Decision::Assign(id) => Some(id.clone()),
-                Decision::NewDevice(id) => {
-                    pool.insert_creating(id.clone());
-                    Some(id.clone())
-                }
-                Decision::Reconfigure(_) | Decision::Reject(_) => None,
-            };
-            if let Some(id) = target {
-                pool.attach(
-                    &id,
-                    e.uid,
-                    e.req.util,
-                    e.req.mem,
-                    e.req.locality.affinity.as_deref(),
-                    e.req.locality.anti_affinity.as_deref(),
-                    e.req.locality.exclusion.as_deref(),
-                );
-            }
-            if recorder.is_enabled() {
+            let decision = schedule(Substrate::TimeSlice, &e.req, pool, &mut prov);
+            e.apply(&decision, pool);
+            if prov.is_on() {
                 let outcome = outcome_of(&decision, &prov);
                 session.record_scratch(at, e.uid.0, 0, DecisionKind::Schedule, outcome, &mut prov);
             }
@@ -771,6 +615,25 @@ pub fn schedule_batch_recorded(
 mod tests {
     use super::*;
     use ks_cluster::api::Uid;
+
+    /// Runs the runtime path with capture off and the reference oracle on
+    /// a copy of the same pool, asserts they agree, and returns the
+    /// decision.
+    fn decide(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
+        let mut oracle_pool = pool.clone();
+        let d = schedule(Substrate::TimeSlice, req, pool, &mut SchedProv::off());
+        assert_eq!(
+            d,
+            schedule_reference(req, &mut oracle_pool),
+            "oracle diverged"
+        );
+        d
+    }
+
+    /// The spatial path, capture off.
+    fn spatial(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
+        schedule(Substrate::Spatial, req, pool, &mut SchedProv::off())
+    }
 
     fn req(util: f64, mem: f64) -> SchedRequest {
         SchedRequest {
@@ -805,7 +668,7 @@ mod tests {
     #[test]
     fn empty_pool_creates_new_device() {
         let mut p = VgpuPool::new();
-        match schedule(&req(0.5, 0.5), &mut p) {
+        match decide(&req(0.5, 0.5), &mut p) {
             Decision::NewDevice(_) => {}
             d => panic!("expected NewDevice, got {d:?}"),
         }
@@ -818,7 +681,7 @@ mod tests {
         p.attach(&ids[1], Uid(2), 0.2, 0.2, None, None, None); // free 0.8
                                                                // 0.3 fits both; best fit picks the tighter device (ids[0]).
         assert_eq!(
-            schedule(&req(0.3, 0.3), &mut p),
+            decide(&req(0.3, 0.3), &mut p),
             Decision::Assign(ids[0].clone())
         );
     }
@@ -829,7 +692,7 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.9, 0.9, None, None, None);
         // 0.5 doesn't fit device 0, but device 1 is idle.
         assert_eq!(
-            schedule(&req(0.5, 0.5), &mut p),
+            decide(&req(0.5, 0.5), &mut p),
             Decision::Assign(ids[1].clone())
         );
     }
@@ -838,7 +701,7 @@ mod tests {
     fn full_pool_spawns_new_device() {
         let (mut p, ids) = pool(1);
         p.attach(&ids[0], Uid(1), 0.9, 0.9, None, None, None);
-        match schedule(&req(0.5, 0.5), &mut p) {
+        match decide(&req(0.5, 0.5), &mut p) {
             Decision::NewDevice(id) => assert_ne!(id, ids[0]),
             d => panic!("expected NewDevice, got {d:?}"),
         }
@@ -849,7 +712,7 @@ mod tests {
         let (mut p, ids) = pool(2);
         p.attach(&ids[1], Uid(1), 0.3, 0.3, Some("grp"), None, None);
         let r = req_loc(0.3, 0.3, Locality::none().with_affinity("grp"));
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -859,7 +722,7 @@ mod tests {
         let r = req_loc(0.3, 0.3, Locality::none().with_affinity("grp"));
         // ids[0] has load; ids[1] is idle → pick ids[1] to leave room for
         // future "grp" members.
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -867,7 +730,7 @@ mod tests {
         let (mut p, ids) = pool(1);
         p.attach(&ids[0], Uid(1), 0.1, 0.1, None, None, None);
         let r = req_loc(0.3, 0.3, Locality::none().with_affinity("grp"));
-        assert!(matches!(schedule(&r, &mut p), Decision::NewDevice(_)));
+        assert!(matches!(decide(&r, &mut p), Decision::NewDevice(_)));
     }
 
     #[test]
@@ -890,7 +753,7 @@ mod tests {
                 .with_exclusion("tenant-b"),
         );
         assert_eq!(
-            schedule(&r, &mut p),
+            decide(&r, &mut p),
             Decision::Reject(RejectReason::ExclusionConflict)
         );
     }
@@ -907,7 +770,7 @@ mod tests {
                 .with_anti_affinity("noisy"),
         );
         assert_eq!(
-            schedule(&r, &mut p),
+            decide(&r, &mut p),
             Decision::Reject(RejectReason::AntiAffinityConflict)
         );
     }
@@ -918,7 +781,7 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.8, 0.8, Some("grp"), None, None);
         let r = req_loc(0.5, 0.1, Locality::none().with_affinity("grp"));
         assert_eq!(
-            schedule(&r, &mut p),
+            decide(&r, &mut p),
             Decision::Reject(RejectReason::InsufficientCapacity)
         );
     }
@@ -930,7 +793,7 @@ mod tests {
         let mut assigned = Vec::new();
         for i in 0..3 {
             let r = req_loc(0.3, 0.3, Locality::none().with_anti_affinity("noisy"));
-            match schedule(&r, &mut p) {
+            match decide(&r, &mut p) {
                 Decision::Assign(id) => {
                     p.attach(&id, Uid(10 + i), 0.3, 0.3, None, Some("noisy"), None);
                     assigned.push(id);
@@ -949,7 +812,7 @@ mod tests {
         let (mut p, ids) = pool(1);
         p.attach(&ids[0], Uid(1), 0.3, 0.3, None, Some("noisy"), None);
         let r = req_loc(0.3, 0.3, Locality::none().with_anti_affinity("noisy"));
-        assert!(matches!(schedule(&r, &mut p), Decision::NewDevice(_)));
+        assert!(matches!(decide(&r, &mut p), Decision::NewDevice(_)));
     }
 
     #[test]
@@ -958,7 +821,7 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.2, 0.2, None, None, Some("tenant-a"));
         let r = req_loc(0.2, 0.2, Locality::none().with_exclusion("tenant-b"));
         // Device 0 belongs to tenant-a; tenant-b must go elsewhere.
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -966,7 +829,7 @@ mod tests {
         let (mut p, ids) = pool(2);
         p.attach(&ids[0], Uid(1), 0.2, 0.2, None, None, Some("tenant-a"));
         let r = req_loc(0.2, 0.2, Locality::none().with_exclusion("tenant-a"));
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[0].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[0].clone()));
     }
 
     #[test]
@@ -974,7 +837,7 @@ mod tests {
         let (mut p, ids) = pool(2);
         p.attach(&ids[0], Uid(1), 0.2, 0.2, None, None, Some("tenant-a"));
         let r = req(0.2, 0.2);
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -986,7 +849,26 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.6, 0.6, Some("g1"), None, None); // free 0.4
         p.attach(&ids[1], Uid(2), 0.2, 0.2, Some("g2"), None, None); // free 0.8
         let r = req(0.3, 0.3);
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
+    }
+
+    #[test]
+    fn capture_marks_the_worst_fit_winner_after_a_failed_best_fit_scan() {
+        let (mut p, ids) = pool(2);
+        // Plain device in the fit range (key 1.0) but short on util for
+        // the request; the labeled device wins worst-fit.
+        p.attach(&ids[0], Uid(1), 0.9, 0.1, None, None, None); // free 0.1/0.9
+        p.attach(&ids[1], Uid(2), 0.2, 0.2, Some("g"), None, None); // free 0.8/0.8
+        let mut prov = SchedProv::on();
+        let d = schedule(Substrate::TimeSlice, &req(0.3, 0.3), &mut p, &mut prov);
+        assert_eq!(d, Decision::Assign(ids[1].clone()));
+        let cands = prov.candidates();
+        assert_eq!(cands.len(), 2);
+        assert!(!cands[0].chosen && cands[0].rule == "best_fit");
+        let chosen: Vec<_> = cands.iter().filter(|c| c.chosen).collect();
+        assert_eq!(chosen.len(), 1);
+        assert_eq!(chosen[0].target, ids[1].as_str());
+        assert_eq!(chosen[0].rule, "worst_fit");
     }
 
     #[test]
@@ -996,7 +878,7 @@ mod tests {
         p.attach(&ids[1], Uid(2), 0.2, 0.2, None, None, None); // plain device
         let r = req(0.3, 0.3);
         // Plain device wins even though the affinity device has equal room.
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[1].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -1005,31 +887,18 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.3, 0.3, None, None, Some("tenant-a"));
         p.detach(&ids[0], Uid(1)); // idle again, labels cleared
         let r = req_loc(0.5, 0.5, Locality::none().with_exclusion("tenant-b"));
-        assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[0].clone()));
+        assert_eq!(decide(&r, &mut p), Decision::Assign(ids[0].clone()));
     }
 
-    // ---- locality edge cases, run against BOTH implementations ----
-
-    /// Runs a scenario under Reference and Indexed and asserts the
-    /// decisions agree before handing one back for scenario asserts.
-    fn both_modes(build: impl Fn() -> VgpuPool, req: &SchedRequest) -> Decision {
-        let mut ref_pool = build();
-        let mut idx_pool = build();
-        let d_ref = schedule(req, &mut ref_pool);
-        let d_idx = schedule_indexed(req, &mut idx_pool);
-        assert_eq!(d_ref, d_idx, "modes diverged");
-        d_ref
-    }
+    // ---- locality edge cases, runtime path against the oracle ----
 
     #[test]
-    fn empty_pool_both_modes_create_new_device() {
-        let d = both_modes(VgpuPool::new, &req(0.5, 0.5));
-        assert!(matches!(d, Decision::NewDevice(_)));
-        let d = both_modes(
-            VgpuPool::new,
-            &req_loc(0.5, 0.5, Locality::none().with_affinity("g")),
-        );
-        assert!(matches!(d, Decision::NewDevice(_)));
+    fn empty_pool_with_affinity_creates_new_device() {
+        let r = req_loc(0.5, 0.5, Locality::none().with_affinity("g"));
+        assert!(matches!(
+            decide(&r, &mut VgpuPool::new()),
+            Decision::NewDevice(_)
+        ));
     }
 
     #[test]
@@ -1050,10 +919,10 @@ mod tests {
             p
         };
         let r = req_loc(0.1, 0.1, Locality::none().with_exclusion("tenant-b"));
-        assert!(matches!(both_modes(build, &r), Decision::NewDevice(_)));
+        assert!(matches!(decide(&r, &mut build()), Decision::NewDevice(_)));
         // An unlabeled request is excluded from tenant devices too.
         assert!(matches!(
-            both_modes(build, &req(0.1, 0.1)),
+            decide(&req(0.1, 0.1), &mut build()),
             Decision::NewDevice(_)
         ));
     }
@@ -1070,7 +939,7 @@ mod tests {
             p
         };
         let r = req_loc(0.4, 0.4, Locality::none().with_affinity("grp"));
-        let d = both_modes(build, &r);
+        let d = decide(&r, &mut build());
         let (p, ids) = pool(8);
         assert_eq!(d, Decision::Assign(ids[5].clone()));
         assert_eq!(p.get(&ids[5]).unwrap().node.as_deref(), Some("node-1"));
@@ -1078,7 +947,7 @@ mod tests {
         // the group never silently spans a second device.
         let r_big = req_loc(0.7, 0.7, Locality::none().with_affinity("grp"));
         assert_eq!(
-            both_modes(build, &r_big),
+            decide(&r_big, &mut build()),
             Decision::Reject(RejectReason::InsufficientCapacity)
         );
     }
@@ -1095,10 +964,10 @@ mod tests {
             p
         };
         let (_, ids) = pool(2);
-        let d = both_modes(build, &req(0.0, 0.5));
+        let d = decide(&req(0.0, 0.5), &mut build());
         assert_eq!(d, Decision::Assign(ids[1].clone()));
         // And a zero/zero request best-fits the tightest device.
-        let d = both_modes(build, &req(0.0, 0.0));
+        let d = decide(&req(0.0, 0.0), &mut build());
         assert_eq!(d, Decision::Assign(ids[0].clone()));
     }
 
@@ -1136,17 +1005,15 @@ mod tests {
     fn time_slice_scheduler_never_sees_spatial_devices() {
         let (mut p, _sids) = spatial_pool(2);
         // Both paths must create a new device rather than touch a
-        // partitioned one, in every mode.
-        for decide in [schedule, schedule_indexed] {
-            match decide(&req(0.5, 0.5), &mut p) {
-                Decision::NewDevice(_) => {}
-                d => panic!("expected NewDevice, got {d:?}"),
-            }
-            let r = req_loc(0.5, 0.5, Locality::none().with_affinity("g"));
-            match decide(&r, &mut p) {
-                Decision::NewDevice(_) => {}
-                d => panic!("expected NewDevice, got {d:?}"),
-            }
+        // partitioned one.
+        match decide(&req(0.5, 0.5), &mut p) {
+            Decision::NewDevice(_) => {}
+            d => panic!("expected NewDevice, got {d:?}"),
+        }
+        let r = req_loc(0.5, 0.5, Locality::none().with_affinity("g"));
+        match decide(&r, &mut p) {
+            Decision::NewDevice(_) => {}
+            d => panic!("expected NewDevice, got {d:?}"),
         }
     }
 
@@ -1158,7 +1025,7 @@ mod tests {
         // P4 start. The fragmentation score must pack device 0.
         slice(&mut p, &ids[0], 1, Profile::P4);
         assert_eq!(
-            schedule_spatial(&req(3.0 / 7.0, 0.1), &mut p),
+            spatial(&req(3.0 / 7.0, 0.1), &mut p),
             Decision::Assign(ids[0].clone())
         );
     }
@@ -1168,7 +1035,7 @@ mod tests {
         let (mut p, ids) = spatial_pool(1);
         // 0.3 → P3. After binding, only 4 slots remain.
         assert_eq!(
-            schedule_spatial(&req(0.3, 0.1), &mut p),
+            spatial(&req(0.3, 0.1), &mut p),
             Decision::Assign(ids[0].clone())
         );
         slice(&mut p, &ids[0], 1, Profile::P3);
@@ -1176,7 +1043,7 @@ mod tests {
         assert_eq!(d.partition.as_ref().unwrap().free_slots(), 4);
         // Demand beyond a whole device is unsatisfiable.
         assert_eq!(
-            schedule_spatial(&req(1.2, 0.1), &mut p),
+            spatial(&req(1.2, 0.1), &mut p),
             Decision::Reject(RejectReason::InsufficientCapacity)
         );
     }
@@ -1204,12 +1071,12 @@ mod tests {
         assert!(!table.can_place(Profile::P3));
         // A 3-slot demand: capacity exists, only geometry blocks it.
         assert_eq!(
-            schedule_spatial(&req(0.4, 0.1), &mut p),
+            spatial(&req(0.4, 0.1), &mut p),
             Decision::Reconfigure(ids[0].clone())
         );
         // A 1-slot demand still fits in place — no reconfig churn.
         assert!(matches!(
-            schedule_spatial(&req(0.1, 0.1), &mut p),
+            spatial(&req(0.1, 0.1), &mut p),
             Decision::Assign(_)
         ));
     }
@@ -1229,14 +1096,11 @@ mod tests {
         )
         .unwrap();
         let r = req_loc(0.2, 0.2, Locality::none().with_affinity("grp"));
-        assert_eq!(
-            schedule_spatial(&r, &mut p),
-            Decision::Assign(ids[1].clone())
-        );
+        assert_eq!(spatial(&r, &mut p), Decision::Assign(ids[1].clone()));
         // A group member too large for the remaining grid is rejected.
         let r_big = req_loc(1.0, 1.0, Locality::none().with_affinity("grp"));
         assert_eq!(
-            schedule_spatial(&r_big, &mut p),
+            spatial(&r_big, &mut p),
             Decision::Reject(RejectReason::InsufficientCapacity)
         );
     }
@@ -1256,10 +1120,7 @@ mod tests {
         )
         .unwrap();
         let r = req_loc(0.2, 0.2, Locality::none().with_exclusion("tenant-b"));
-        assert_eq!(
-            schedule_spatial(&r, &mut p),
-            Decision::Assign(ids[1].clone())
-        );
+        assert_eq!(spatial(&r, &mut p), Decision::Assign(ids[1].clone()));
     }
 
     #[test]
@@ -1267,41 +1128,41 @@ mod tests {
         let (mut p, ids) = spatial_pool(1);
         // TimeSlice ignores the partitioned device entirely.
         assert!(matches!(
-            schedule_substrate(
-                SchedMode::Reference,
+            schedule(
                 Substrate::TimeSlice,
                 &req(0.5, 0.5),
-                &mut p
+                &mut p,
+                &mut SchedProv::off()
             ),
             Decision::NewDevice(_)
         ));
         // Spatial binds a slice.
         assert_eq!(
-            schedule_substrate(
-                SchedMode::Reference,
+            schedule(
                 Substrate::Spatial,
                 &req(0.5, 0.5),
-                &mut p
+                &mut p,
+                &mut SchedProv::off()
             ),
             Decision::Assign(ids[0].clone())
         );
         // Hybrid: 0.5 → P4 (waste 1/14) goes spatial; 0.6 → P7 (waste
         // 0.4) falls back to the token path.
         assert_eq!(
-            schedule_substrate(
-                SchedMode::Reference,
+            schedule(
                 Substrate::Hybrid,
                 &req(0.5, 0.1),
-                &mut p
+                &mut p,
+                &mut SchedProv::off()
             ),
             Decision::Assign(ids[0].clone())
         );
         assert!(matches!(
-            schedule_substrate(
-                SchedMode::Reference,
+            schedule(
                 Substrate::Hybrid,
                 &req(0.6, 0.1),
-                &mut p
+                &mut p,
+                &mut SchedProv::off()
             ),
             Decision::NewDevice(_)
         ));
@@ -1317,9 +1178,9 @@ mod tests {
                 req: req_loc(0.2, 0.2, Locality::none().with_anti_affinity("noisy")),
             })
             .collect();
-        for mode in [SchedMode::Reference, SchedMode::Indexed] {
+        for recorder in [FlightRecorder::disabled(), FlightRecorder::enabled()] {
             let (mut p, ids) = pool(2);
-            let out = schedule_batch(mode, &entries, &mut p);
+            let out = schedule_batch(&entries, &mut p, SimTime::ZERO, &recorder);
             assert_eq!(out[0].1, Decision::Assign(ids[0].clone()));
             assert_eq!(out[1].1, Decision::Assign(ids[1].clone()));
             assert_eq!(p.get(&ids[0]).unwrap().attached.len(), 1);

@@ -34,8 +34,7 @@ pub mod sharepod;
 pub mod system;
 
 pub use algorithm::{
-    schedule, schedule_batch, schedule_indexed, schedule_spatial, schedule_substrate,
-    schedule_with, BatchEntry, Decision, RejectReason, SchedMode, SchedRequest,
+    schedule, schedule_batch, schedule_reference, BatchEntry, Decision, RejectReason, SchedRequest,
 };
 pub use gpuid::GpuId;
 pub use ks_partition::{Profile, Substrate};

@@ -7,30 +7,38 @@
 //! *creating* (anchor pod launching) → *active* (sharePods attached) →
 //! *idle* (none attached) → *deleted* (GPU released back to Kubernetes).
 //!
-//! # Capacity indexes
+//! # Storage and capacity indexes
 //!
-//! Beyond the id-ordered device map, the pool maintains a set of
+//! Devices live in a private slab (`Vec<Option<PoolDevice>>` plus a free
+//! list); an id-ordered name map resolves a [`GpuId`] to its slot, and
+//! slots never leave this module. On top, the pool maintains a set of
 //! incrementally-updated indexes so Algorithm 1's hot path (best-fit /
 //! worst-fit selection, affinity lookup, idle reuse) runs as ordered-range
 //! lookups instead of full scans (DESIGN.md §10):
 //!
 //! * `plain_fit` / `labeled_fit` — schedulable (non-releasing) devices
-//!   keyed by their *fit key* `util_free + mem_free`, split by whether the
-//!   device carries affinity labels (best-fit scans `plain_fit` ascending,
-//!   worst-fit scans `labeled_fit` descending);
+//!   keyed flat by *fit key* `util_free + mem_free` and id, each key
+//!   mapped to the device's slot, split by whether the device carries
+//!   affinity labels. `plain_fit` ascends by (fit key, id) — the best-fit
+//!   scan order; `labeled_fit` keys on the reversed fit key, so ascending
+//!   iteration is descending fit key with ascending id inside one key —
+//!   the worst-fit scan order. Both scans yield devices straight from
+//!   their slots, with no per-candidate name lookup;
 //! * `unattached` — devices with no tenants (Algorithm 1's `d.idle`),
 //!   in id order;
 //! * `idle` — devices in the `Idle` lifecycle phase (release-policy
 //!   candidates), in id order;
 //! * `aff_index` — affinity label → devices carrying it, in id order;
 //! * `by_node` — node name → devices hosted there (includes releasing
-//!   devices: node-failure handling must see them too).
+//!   devices: node-failure handling must see them too);
+//! * `spatial` — partitioned devices, in id order, mapped to slots.
 //!
 //! Every mutation (`insert_creating`, `mark_ready`, `attach`, `detach`,
 //! `mark_releasing`, `remove`) keeps the indexes exact;
 //! [`VgpuPool::verify_indexes`] cross-checks them against a from-scratch
 //! rebuild and backs the index-consistency property tests.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ks_cluster::api::Uid;
@@ -127,16 +135,42 @@ impl PoolDevice {
     pub fn fit_key(&self) -> f64 {
         self.util_free + self.mem_free
     }
+
+    /// Records a tenant's demand and accumulates its locality labels; an
+    /// attach to a creating device keeps it `Creating` until it is ready.
+    fn add_tenant(
+        &mut self,
+        sharepod: Uid,
+        request: f64,
+        mem: f64,
+        aff: Option<&str>,
+        anti_aff: Option<&str>,
+        excl: Option<&str>,
+    ) {
+        if let Some(a) = aff {
+            self.aff.insert(a.to_string());
+        }
+        if let Some(a) = anti_aff {
+            self.anti_aff.insert(a.to_string());
+        }
+        self.excl = excl.map(str::to_string);
+        self.attached.insert(sharepod, (request, mem));
+        if self.phase != VgpuPhase::Creating {
+            self.phase = VgpuPhase::Active;
+        }
+    }
 }
 
-/// The capacity indexes over the device map. Kept in a dedicated struct so
-/// maintenance and verification share one rebuild routine.
+/// The capacity indexes over the device slab. Kept in a dedicated struct
+/// so incremental maintenance and the from-scratch rebuild in
+/// [`VgpuPool::verify_indexes`] share one `insert` routine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PoolIndexes {
-    /// Schedulable devices without affinity labels, by (fit key, id).
-    plain_fit: BTreeMap<OrdF64, BTreeSet<GpuId>>,
-    /// Schedulable devices with affinity labels, by (fit key, id).
-    labeled_fit: BTreeMap<OrdF64, BTreeSet<GpuId>>,
+    /// Schedulable devices without affinity labels: (fit key, id) → slot.
+    plain_fit: BTreeMap<(OrdF64, GpuId), u32>,
+    /// Schedulable devices with affinity labels: (reversed fit key, id) →
+    /// slot, so ascending order is the worst-fit order.
+    labeled_fit: BTreeMap<(Reverse<OrdF64>, GpuId), u32>,
     /// Schedulable devices with no attached sharePods, in id order.
     unattached: BTreeSet<GpuId>,
     /// Non-releasing devices in the `Idle` phase, in id order.
@@ -145,16 +179,16 @@ struct PoolIndexes {
     aff_index: BTreeMap<String, BTreeSet<GpuId>>,
     /// Node → devices hosted there (releasing devices included).
     by_node: BTreeMap<String, BTreeSet<GpuId>>,
-    /// Non-releasing partitioned devices, in id order. Spatial devices
-    /// live *only* here (plus `by_node`): they are invisible to the
-    /// time-slice fit/idle/affinity indexes, so Algorithm 1's token-lease
-    /// path never sees them and the release policy never reclaims them.
-    spatial: BTreeSet<GpuId>,
+    /// Non-releasing partitioned devices: id → slot. Spatial devices live
+    /// *only* here (plus `by_node`): they are invisible to the time-slice
+    /// fit/idle/affinity indexes, so Algorithm 1's token-lease path never
+    /// sees them and the release policy never reclaims them.
+    spatial: BTreeMap<GpuId, u32>,
 }
 
 impl PoolIndexes {
-    /// Adds one device to every index it belongs in.
-    fn insert(&mut self, d: &PoolDevice) {
+    /// Adds the device in `slot` to every index it belongs in.
+    fn insert(&mut self, d: &PoolDevice, slot: u32) {
         if let Some(node) = &d.node {
             self.by_node
                 .entry(node.clone())
@@ -168,16 +202,15 @@ impl PoolIndexes {
         if d.partition.is_some() {
             // Spatial devices are scheduled through the partition path,
             // never the time-slice fit/idle/affinity indexes.
-            self.spatial.insert(d.id.clone());
+            self.spatial.insert(d.id.clone(), slot);
             return;
         }
         let key = OrdF64::of(d.fit_key());
-        let fit = if d.aff.is_empty() {
-            &mut self.plain_fit
+        if d.aff.is_empty() {
+            self.plain_fit.insert((key, d.id.clone()), slot);
         } else {
-            &mut self.labeled_fit
-        };
-        fit.entry(key).or_default().insert(d.id.clone());
+            self.labeled_fit.insert((Reverse(key), d.id.clone()), slot);
+        }
         if d.attached.is_empty() {
             self.unattached.insert(d.id.clone());
         }
@@ -211,16 +244,10 @@ impl PoolIndexes {
             return;
         }
         let key = OrdF64::of(d.fit_key());
-        let fit = if d.aff.is_empty() {
-            &mut self.plain_fit
+        if d.aff.is_empty() {
+            self.plain_fit.remove(&(key, d.id.clone()));
         } else {
-            &mut self.labeled_fit
-        };
-        if let Some(set) = fit.get_mut(&key) {
-            set.remove(&d.id);
-            if set.is_empty() {
-                fit.remove(&key);
-            }
+            self.labeled_fit.remove(&(Reverse(key), d.id.clone()));
         }
         self.unattached.remove(&d.id);
         self.idle.remove(&d.id);
@@ -233,21 +260,17 @@ impl PoolIndexes {
             }
         }
     }
-
-    /// Builds the indexes from scratch for a device map.
-    fn rebuild(devices: &BTreeMap<GpuId, PoolDevice>) -> Self {
-        let mut ix = PoolIndexes::default();
-        for d in devices.values() {
-            ix.insert(d);
-        }
-        ix
-    }
 }
 
 /// The pool of vGPUs.
 #[derive(Debug, Clone, Default)]
 pub struct VgpuPool {
-    devices: BTreeMap<GpuId, PoolDevice>,
+    /// Device slab; `None` marks a free slot.
+    slots: Vec<Option<PoolDevice>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Id-ordered name map: every device's slot.
+    names: BTreeMap<GpuId, u32>,
     next_id: u64,
     ix: PoolIndexes,
     /// Device count per phase (`Creating`/`Active`/`Idle` by discriminant),
@@ -262,15 +285,60 @@ impl VgpuPool {
         Self::default()
     }
 
+    /// The device in a live slot.
+    fn at(&self, slot: u32) -> &PoolDevice {
+        self.slots[slot as usize].as_ref().expect("live slot")
+    }
+
+    /// The live device under `id`, mutably.
+    ///
+    /// # Panics
+    /// Panics if the id is not in the pool.
+    fn device_mut(&mut self, id: &GpuId) -> &mut PoolDevice {
+        let slot = *self.names.get(id).expect("vGPU in pool");
+        self.slots[slot as usize].as_mut().expect("live slot")
+    }
+
+    /// Applies `f` to a device with its index entries and phase tally
+    /// lifted out, then re-indexes it: every index-visible mutation goes
+    /// through here, so the indexes and the tally stay exact.
+    fn reindex<R>(&mut self, id: &GpuId, f: impl FnOnce(&mut PoolDevice) -> R) -> R {
+        let slot = *self.names.get(id).expect("vGPU in pool");
+        let d = self.slots[slot as usize].as_mut().expect("live slot");
+        self.ix.remove(d);
+        self.tally[d.phase as usize] -= 1;
+        let out = f(d);
+        self.tally[d.phase as usize] += 1;
+        self.ix.insert(d, slot);
+        out
+    }
+
     /// Generates a fresh GPUID (not yet in the pool).
     pub fn fresh_id(&mut self) -> GpuId {
         loop {
             self.next_id += 1;
             let id = GpuId::generate(self.next_id);
-            if !self.devices.contains_key(&id) {
+            if !self.names.contains_key(&id) {
                 return id;
             }
         }
+    }
+
+    /// Stores a new device in a free slot and indexes it.
+    fn insert(&mut self, d: PoolDevice) {
+        assert!(
+            !self.names.contains_key(&d.id),
+            "vGPU {} already in pool",
+            d.id
+        );
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.tally[d.phase as usize] += 1;
+        self.ix.insert(&d, slot);
+        self.names.insert(d.id.clone(), slot);
+        self.slots[slot as usize] = Some(d);
     }
 
     /// Adds a new vGPU in `Creating` phase under the given id.
@@ -278,11 +346,7 @@ impl VgpuPool {
     /// # Panics
     /// Panics if the id already exists.
     pub fn insert_creating(&mut self, id: GpuId) {
-        assert!(!self.devices.contains_key(&id), "vGPU {id} already in pool");
-        let d = PoolDevice::fresh(id.clone());
-        self.tally[d.phase as usize] += 1;
-        self.ix.insert(&d);
-        self.devices.insert(id, d);
+        self.insert(PoolDevice::fresh(id));
     }
 
     /// Adds a new *partitioned* vGPU in `Creating` phase under the given
@@ -292,30 +356,23 @@ impl VgpuPool {
     /// # Panics
     /// Panics if the id already exists.
     pub fn insert_creating_spatial(&mut self, id: GpuId) {
-        assert!(!self.devices.contains_key(&id), "vGPU {id} already in pool");
-        let mut d = PoolDevice::fresh(id.clone());
+        let mut d = PoolDevice::fresh(id);
         d.partition = Some(PartitionTable::new());
-        self.tally[d.phase as usize] += 1;
-        self.ix.insert(&d);
-        self.devices.insert(id, d);
+        self.insert(d);
     }
 
     /// Marks a creating vGPU ready: physical GPU acquired.
     pub fn mark_ready(&mut self, id: &GpuId, node: String, uuid: String) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        debug_assert_eq!(d.phase, VgpuPhase::Creating);
-        self.tally[d.phase as usize] -= 1;
-        self.ix.remove(d);
-        d.node = Some(node);
-        d.uuid = Some(uuid);
-        d.phase = if d.attached.is_empty() {
-            VgpuPhase::Idle
-        } else {
-            VgpuPhase::Active
-        };
-        self.tally[d.phase as usize] += 1;
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.reindex(id, |d| {
+            debug_assert_eq!(d.phase, VgpuPhase::Creating);
+            d.node = Some(node);
+            d.uuid = Some(uuid);
+            d.phase = if d.attached.is_empty() {
+                VgpuPhase::Idle
+            } else {
+                VgpuPhase::Active
+            };
+        });
     }
 
     /// Attaches a sharePod's demand to a vGPU, consuming residual capacity
@@ -331,35 +388,21 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        assert!(
-            !d.is_spatial(),
-            "token-lease attach on partitioned vGPU {id}; use attach_slice"
-        );
-        assert!(
-            d.util_free + 1e-9 >= request && d.mem_free + 1e-9 >= mem,
-            "over-committing vGPU {id}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
-            d.util_free,
-            d.mem_free
-        );
-        self.ix.remove(d);
-        d.util_free = (d.util_free - request).max(0.0);
-        d.mem_free = (d.mem_free - mem).max(0.0);
-        if let Some(a) = aff {
-            d.aff.insert(a.to_string());
-        }
-        if let Some(a) = anti_aff {
-            d.anti_aff.insert(a.to_string());
-        }
-        d.excl = excl.map(str::to_string);
-        d.attached.insert(sharepod, (request, mem));
-        if d.phase != VgpuPhase::Creating {
-            self.tally[d.phase as usize] -= 1;
-            d.phase = VgpuPhase::Active;
-            self.tally[d.phase as usize] += 1;
-        }
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.reindex(id, |d| {
+            assert!(
+                !d.is_spatial(),
+                "token-lease attach on partitioned vGPU {id}; use attach_slice"
+            );
+            assert!(
+                d.util_free + 1e-9 >= request && d.mem_free + 1e-9 >= mem,
+                "over-committing vGPU {id}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
+                d.util_free,
+                d.mem_free
+            );
+            d.util_free = (d.util_free - request).max(0.0);
+            d.mem_free = (d.mem_free - mem).max(0.0);
+            d.add_tenant(sharepod, request, mem, aff, anti_aff, excl);
+        });
     }
 
     /// Binds a sharePod to a dedicated slice on a partitioned vGPU. The
@@ -379,7 +422,7 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) -> Result<u8, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let d = self.get(id).expect("vGPU in pool");
         assert!(!d.releasing, "binding to releasing vGPU {id}");
         let table = d
             .partition
@@ -391,29 +434,16 @@ impl VgpuPool {
         if !table.can_place(profile) {
             return Err(PartitionError::NoFit);
         }
-        self.ix.remove(d);
-        let table = d.partition.as_mut().expect("checked above");
-        let start = table.alloc(profile).expect("can_place checked");
-        let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
-        d.util_free = free;
-        d.mem_free = free;
-        d.slice_of.insert(sharepod, start);
-        if let Some(a) = aff {
-            d.aff.insert(a.to_string());
-        }
-        if let Some(a) = anti_aff {
-            d.anti_aff.insert(a.to_string());
-        }
-        d.excl = excl.map(str::to_string);
-        d.attached.insert(sharepod, (request, mem));
-        if d.phase != VgpuPhase::Creating {
-            self.tally[d.phase as usize] -= 1;
-            d.phase = VgpuPhase::Active;
-            self.tally[d.phase as usize] += 1;
-        }
-        let d = &self.devices[id];
-        self.ix.insert(d);
-        Ok(start)
+        Ok(self.reindex(id, |d| {
+            let table = d.partition.as_mut().expect("checked above");
+            let start = table.alloc(profile).expect("can_place checked");
+            let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
+            d.util_free = free;
+            d.mem_free = free;
+            d.slice_of.insert(sharepod, start);
+            d.add_tenant(sharepod, request, mem, aff, anti_aff, excl);
+            start
+        }))
     }
 
     /// Detaches a sharePod, restoring capacity. Returns `true` if the vGPU
@@ -422,42 +452,39 @@ impl VgpuPool {
     /// slice (legal while active or draining), so the generic teardown
     /// paths — node failure, pod deletion, drain — work unchanged.
     pub fn detach(&mut self, id: &GpuId, sharepod: Uid) -> bool {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        self.ix.remove(d);
-        let (request, mem) = d
-            .attached
-            .remove(&sharepod)
-            .expect("sharePod attached to vGPU");
-        if let Some(table) = d.partition.as_mut() {
-            let start = d.slice_of.remove(&sharepod).expect("slice tenant");
-            table.free(start).expect("resident slice");
-            let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
-            d.util_free = free;
-            d.mem_free = free;
-        } else {
-            d.util_free = (d.util_free + request).min(1.0);
-            d.mem_free = (d.mem_free + mem).min(1.0);
-        }
-        let became_idle = d.attached.is_empty();
-        if became_idle {
-            // Full restore, exactly: an idle device has no tenants, so its
-            // residuals are whole by definition. Snapping to 1.0 (instead
-            // of keeping the float round-trip) keeps every idle device at
-            // fit key 2.0 exactly, which the capacity indexes rely on.
-            d.util_free = 1.0;
-            d.mem_free = 1.0;
-            d.aff.clear();
-            d.anti_aff.clear();
-            d.excl = None;
-            if d.phase != VgpuPhase::Creating {
-                self.tally[d.phase as usize] -= 1;
-                d.phase = VgpuPhase::Idle;
-                self.tally[d.phase as usize] += 1;
+        self.reindex(id, |d| {
+            let (request, mem) = d
+                .attached
+                .remove(&sharepod)
+                .expect("sharePod attached to vGPU");
+            if let Some(table) = d.partition.as_mut() {
+                let start = d.slice_of.remove(&sharepod).expect("slice tenant");
+                table.free(start).expect("resident slice");
+                let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
+                d.util_free = free;
+                d.mem_free = free;
+            } else {
+                d.util_free = (d.util_free + request).min(1.0);
+                d.mem_free = (d.mem_free + mem).min(1.0);
             }
-        }
-        let d = &self.devices[id];
-        self.ix.insert(d);
-        became_idle
+            let became_idle = d.attached.is_empty();
+            if became_idle {
+                // Full restore, exactly: an idle device has no tenants, so
+                // its residuals are whole by definition. Snapping to 1.0
+                // (instead of keeping the float round-trip) keeps every
+                // idle device at fit key 2.0 exactly, which the capacity
+                // indexes rely on.
+                d.util_free = 1.0;
+                d.mem_free = 1.0;
+                d.aff.clear();
+                d.anti_aff.clear();
+                d.excl = None;
+                if d.phase != VgpuPhase::Creating {
+                    d.phase = VgpuPhase::Idle;
+                }
+            }
+            became_idle
+        })
     }
 
     /// Starts a partition reconfiguration on a spatial device: the table
@@ -466,7 +493,7 @@ impl VgpuPool {
     /// its slice; once empty, call
     /// [`VgpuPool::note_partition_drained`]).
     pub fn begin_partition_drain(&mut self, id: &GpuId) -> Result<Vec<Uid>, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let d = self.device_mut(id);
         let table = d
             .partition
             .as_mut()
@@ -484,29 +511,27 @@ impl VgpuPool {
         now: SimTime,
         cost: SimDuration,
     ) -> Result<SimTime, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        let table = d
+        self.device_mut(id)
             .partition
             .as_mut()
-            .expect("partition drain on time-sliced vGPU");
-        table.note_drained(now, cost)
+            .expect("partition drain on time-sliced vGPU")
+            .note_drained(now, cost)
     }
 
     /// Completes a spatial device's reconfiguration at or after the
     /// activation time recorded by [`VgpuPool::note_partition_drained`].
     pub fn activate_partition(&mut self, id: &GpuId, now: SimTime) -> Result<(), PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        let table = d
+        self.device_mut(id)
             .partition
             .as_mut()
-            .expect("partition activate on time-sliced vGPU");
-        table.activate(now)
+            .expect("partition activate on time-sliced vGPU")
+            .activate(now)
     }
 
     /// Non-releasing partitioned devices in id order — the candidate set
     /// of the spatial placement path.
     pub fn spatial_devices(&self) -> impl Iterator<Item = &PoolDevice> {
-        self.ix.spatial.iter().map(move |id| &self.devices[id])
+        self.ix.spatial.values().map(move |&s| self.at(s))
     }
 
     /// Number of non-releasing partitioned devices.
@@ -517,7 +542,7 @@ impl VgpuPool {
     /// The sharePod occupying the slice that starts at `start` on a
     /// partitioned device, if any.
     pub fn slice_tenant(&self, id: &GpuId, start: u8) -> Option<Uid> {
-        self.devices.get(id).and_then(|d| {
+        self.get(id).and_then(|d| {
             d.slice_of
                 .iter()
                 .find(|&(_, &s)| s == start)
@@ -534,8 +559,7 @@ impl VgpuPool {
     /// back.
     pub fn fragmentation(&self) -> f64 {
         let views: Vec<DeviceFreeView> = self
-            .devices
-            .values()
+            .devices()
             .filter(|d| !d.releasing)
             .map(|d| match &d.partition {
                 Some(t) => DeviceFreeView {
@@ -555,34 +579,36 @@ impl VgpuPool {
     /// Marks a vGPU as being released: it stays in the pool (its anchor is
     /// still terminating) but is invisible to the scheduler.
     pub fn mark_releasing(&mut self, id: &GpuId) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        debug_assert!(d.attached.is_empty(), "releasing vGPU {id} with tenants");
-        self.ix.remove(d);
-        d.releasing = true;
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.reindex(id, |d| {
+            debug_assert!(d.attached.is_empty(), "releasing vGPU {id} with tenants");
+            d.releasing = true;
+        });
     }
 
-    /// Removes a vGPU entirely (GPU released back to Kubernetes).
+    /// Removes a vGPU entirely (GPU released back to Kubernetes). Its
+    /// slot is freed for the next inserted device.
     ///
     /// # Panics
     /// Panics if sharePods are still attached.
     pub fn remove(&mut self, id: &GpuId) -> PoolDevice {
-        let d = self.devices.get(id).expect("vGPU in pool");
+        let slot = *self.names.get(id).expect("vGPU in pool");
+        let d = self.slots[slot as usize].as_ref().expect("live slot");
         assert!(d.attached.is_empty(), "removing vGPU {id} with tenants");
         self.tally[d.phase as usize] -= 1;
         self.ix.remove(d);
-        self.devices.remove(id).expect("vGPU in pool")
+        self.names.remove(id);
+        self.free.push(slot);
+        self.slots[slot as usize].take().expect("live slot")
     }
 
     /// Looks up a device.
     pub fn get(&self, id: &GpuId) -> Option<&PoolDevice> {
-        self.devices.get(id)
+        self.names.get(id).map(|&s| self.at(s))
     }
 
     /// All devices in deterministic id order.
     pub fn devices(&self) -> impl Iterator<Item = &PoolDevice> {
-        self.devices.values()
+        self.names.values().map(move |&s| self.at(s))
     }
 
     /// Devices currently idle and not already being released (candidates
@@ -622,30 +648,54 @@ impl VgpuPool {
     /// least `min_fit`, ascending by (fit key, id) — the best-fit scan
     /// order (tightest candidate first, id as the tie-break).
     pub fn plain_fit_range(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+        // The empty id sorts first, so the bound admits every id at
+        // `min_fit` without allocating.
+        let from = (OrdF64::of(min_fit), GpuId::named(String::new()));
         self.ix
             .plain_fit
-            .range(OrdF64::of(min_fit)..)
-            .flat_map(move |(_, set)| set.iter().map(move |id| &self.devices[id]))
+            .range(from..)
+            .map(move |(_, &s)| self.at(s))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
     /// `min_fit`, descending by fit key with ascending id inside one key —
     /// the worst-fit scan order (roomiest candidate first, id tie-break).
     pub fn labeled_fit_range_desc(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+        let min = OrdF64::of(min_fit);
         self.ix
             .labeled_fit
-            .range(OrdF64::of(min_fit)..)
-            .rev()
-            .flat_map(move |(_, set)| set.iter().map(move |id| &self.devices[id]))
+            .iter()
+            .take_while(move |((Reverse(key), _), _)| *key >= min)
+            .map(move |(_, &s)| self.at(s))
     }
 
-    /// Cross-checks the incrementally-maintained indexes against a
-    /// from-scratch rebuild. Returns a description of the first mismatch.
-    /// Backs the index-consistency property tests; cheap enough to call
-    /// from any invariant-minded test.
+    /// Cross-checks the slab, the name map and the incrementally
+    /// maintained indexes against a from-scratch rebuild. Returns a
+    /// description of the first mismatch. Backs the index-consistency
+    /// property tests; cheap enough to call from any invariant-minded
+    /// test.
     pub fn verify_indexes(&self) -> Result<(), String> {
+        for (id, &slot) in &self.names {
+            match self.slots.get(slot as usize).and_then(Option::as_ref) {
+                Some(d) if d.id == *id => {}
+                _ => {
+                    return Err(format!(
+                        "name {id} maps to slot {slot}, which holds another"
+                    ))
+                }
+            }
+        }
+        let live = self.slots.iter().filter(|s| s.is_some()).count();
+        if live != self.names.len() || live + self.free.len() != self.slots.len() {
+            return Err(format!(
+                "slab drifted: {live} live slots, {} names, {} free of {}",
+                self.names.len(),
+                self.free.len(),
+                self.slots.len()
+            ));
+        }
         let mut fresh_tally = [0u32; 3];
-        for d in self.devices.values() {
+        for d in self.devices() {
             fresh_tally[d.phase as usize] += 1;
         }
         if fresh_tally != self.tally {
@@ -654,7 +704,7 @@ impl VgpuPool {
                 self.tally
             ));
         }
-        for d in self.devices.values() {
+        for d in self.devices() {
             let Some(t) = &d.partition else { continue };
             t.verify().map_err(|e| format!("device {}: {e}", d.id))?;
             if d.slice_of.len() != t.slice_count() {
@@ -673,7 +723,10 @@ impl VgpuPool {
                 ));
             }
         }
-        let fresh = PoolIndexes::rebuild(&self.devices);
+        let mut fresh = PoolIndexes::default();
+        for &slot in self.names.values() {
+            fresh.insert(self.at(slot), slot);
+        }
         if fresh == self.ix {
             return Ok(());
         }
@@ -735,12 +788,12 @@ impl VgpuPool {
 
     /// Pool size.
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.names.len()
     }
 
     /// True when the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.names.is_empty()
     }
 }
 
@@ -887,6 +940,50 @@ mod tests {
         p.attach(&ids[1], Uid(4), 0.1, 0.1, Some("g"), None, None); // fit 1.4
         let desc: Vec<&GpuId> = p.labeled_fit_range_desc(0.0).map(|d| &d.id).collect();
         assert_eq!(desc, vec![&ids[1], &ids[2]]);
+        p.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn removed_slot_is_reused_under_a_new_name() {
+        let (mut p, ids) = pool_with_ready(3);
+        p.attach(&ids[0], Uid(1), 0.6, 0.6, None, None, None); // fit 0.8
+        p.attach(&ids[2], Uid(2), 0.2, 0.2, Some("g"), None, None); // fit 1.6
+        let freed = p.names[&ids[1]];
+        p.mark_releasing(&ids[1]);
+        p.remove(&ids[1]);
+        assert!(p.get(&ids[1]).is_none());
+        p.verify_indexes().unwrap();
+
+        // A differently named device takes the freed slot.
+        let named = GpuId::named("zz-reused");
+        p.insert_creating(named.clone());
+        assert_eq!(p.names[&named], freed, "freed slot reused");
+        p.mark_ready(&named, "node-9".into(), "GPU-9".into());
+        p.attach(&named, Uid(3), 0.2, 0.2, Some("h"), None, None); // fit 1.6
+        assert_eq!(p.get(&named).unwrap().id, named);
+        assert_eq!(p.get(&ids[0]).unwrap().id, ids[0]);
+        assert_eq!(p.len(), 3);
+
+        // Both scans resolve slots to the right devices: the plain scan
+        // holds only ids[0]; the labeled scan ties at 1.6 and breaks the
+        // tie by ascending id.
+        let plain: Vec<&GpuId> = p.plain_fit_range(0.0).map(|d| &d.id).collect();
+        assert_eq!(plain, vec![&ids[0]]);
+        let labeled: Vec<&GpuId> = p.labeled_fit_range_desc(0.0).map(|d| &d.id).collect();
+        assert_eq!(labeled, vec![&ids[2], &named]);
+        assert_eq!(p.labeled_fit_range_desc(1.7).count(), 0);
+        assert_eq!(
+            p.devices().map(|d| &d.id).collect::<Vec<_>>(),
+            vec![&ids[0], &ids[2], &named],
+            "id order, not slot order"
+        );
+        p.verify_indexes().unwrap();
+
+        // Detaching the reused device moves it to the plain index as idle.
+        assert!(p.detach(&named, Uid(3)));
+        let plain: Vec<&GpuId> = p.plain_fit_range(0.0).map(|d| &d.id).collect();
+        assert_eq!(plain, vec![&ids[0], &named]);
+        assert_eq!(p.first_unattached(), Some(&named));
         p.verify_indexes().unwrap();
     }
 

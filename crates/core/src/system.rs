@@ -36,9 +36,7 @@ use ks_vgpu::ShareSpec;
 
 use ks_partition::Profile;
 
-use crate::algorithm::{
-    fit_residual, outcome_of, schedule_substrate_prov, Decision, SchedMode, SchedRequest,
-};
+use crate::algorithm::{fit_residual, outcome_of, schedule, Decision, SchedRequest};
 use crate::gpuid::GpuId;
 use crate::pool::VgpuPool;
 use crate::sharepod::{SharePod, SharePodPhase, SharePodSpec};
@@ -84,12 +82,6 @@ pub struct KsConfig {
     pub anchor_max_retries: u32,
     /// What happens to a sharePod whose backing container crashes.
     pub restart_policy: RestartPolicy,
-    /// Which Algorithm 1 implementation KubeShare-Sched runs over the vGPU
-    /// pool. All modes are decision-identical (enforced by the
-    /// differential oracle); `Indexed` serves placement from the pool's
-    /// capacity indexes. Only Algorithm 1 reads it: the simulated
-    /// cluster's kube-scheduler always picks nodes from its rank index.
-    pub sched_mode: SchedMode,
     /// Wall time a spatial partition reconfiguration takes once the device
     /// is drained (MIG-style instance teardown + re-creation). The device
     /// accepts no slices from drain start until this much after the last
@@ -118,7 +110,6 @@ impl Default for KsConfig {
             anchor_retry_cap: SimDuration::from_secs(8),
             anchor_max_retries: 5,
             restart_policy: RestartPolicy::Never,
-            sched_mode: SchedMode::default(),
             partition_reconfig_cost: SimDuration::from_secs(2),
         }
     }
@@ -1491,26 +1482,16 @@ impl KubeShareSystem {
                     mem: spec.share.mem,
                     locality: spec.locality.clone(),
                 };
-                schedule_substrate_prov(
-                    self.cfg.sched_mode,
-                    spec.substrate,
-                    &req,
-                    &mut self.pool,
-                    &mut prov,
-                )
+                schedule(spec.substrate, &req, &mut self.pool, &mut prov)
             }
         };
         let decide_ns = decide_start.elapsed().as_nanos() as f64;
 
         if self.telemetry.is_enabled() {
-            // Record the mode that actually ran: `Auto` resolves by pool
-            // size, and the label should say which path served the
-            // decision, not the configuration knob.
-            let mode = self.cfg.sched_mode.resolve(self.pool.len()).label();
             // Wall-clock cost of running Algorithm 1 itself (not the
             // simulated sched_latency): 10ns .. 1s log-spaced.
             self.telemetry
-                .histogram_log("sched_decision_ns", &[("mode", mode)], 1e1, 1e9, 40)
+                .histogram_log("sched_decision_ns", &[], 1e1, 1e9, 40)
                 .observe(decide_ns);
             let outcome = match &decision {
                 Decision::Assign(_) => "assign",
@@ -1761,7 +1742,8 @@ impl KubeShareSystem {
     /// layout activates `partition_reconfig_cost` later, and the
     /// triggering sharePod plus every displaced tenant re-decide only once
     /// it is live — re-deciding earlier would stampede them onto new
-    /// devices while the capacity they need is mid-reshape.
+    /// devices while the capacity they need is mid-reshape. The trigger
+    /// re-decides ahead of the displaced tenants.
     fn reconfigure_partition(
         &mut self,
         now: SimTime,
@@ -1880,11 +1862,11 @@ impl KubeShareSystem {
         self.reconfig_tickets.insert(ticket, (gpuid, span));
         out.push((until, KsEvent::PartitionActivate { ticket }));
         let decide_at = until + self.cfg.sched_latency;
-        for t in displaced {
-            self.requeue_sharepod_at(now, t, decide_at, out, notices);
-        }
         // The triggering sharePod never left Pending; a fresh schedule
-        // span covers its wait for the new layout.
+        // span covers its wait for the new layout. It re-decides first:
+        // the reshape exists for its geometry, and letting the displaced
+        // tenants (queued at the same instant) retake the empty device
+        // first can rebuild the very layout that stranded it, forever.
         self.sharepods.mutate(sp, |s| {
             s.status.message = Some("awaiting partition reconfiguration".into());
         });
@@ -1896,6 +1878,9 @@ impl KubeShareSystem {
             self.sp_trace.get_mut(&sp).expect("just checked").sched_span = sched_span;
         }
         out.push((decide_at, KsEvent::SchedDecide { sp }));
+        for t in displaced {
+            self.requeue_sharepod_at(now, t, decide_at, out, notices);
+        }
         self.record_gauges();
     }
 
@@ -2756,60 +2741,45 @@ mod tests {
 
     #[test]
     fn drain_pending_schedules_whole_queue_in_one_pass() {
-        for mode in [SchedMode::Reference, SchedMode::Indexed, SchedMode::Auto] {
-            let mut eng = Engine::new(World {
-                ks: KubeShareSystem::new(
-                    cluster_cfg(2, 2),
-                    KsConfig {
-                        sched_mode: mode,
-                        ..KsConfig::default()
-                    },
-                ),
-                notices: Vec::new(),
-            });
-            let telemetry = ks_telemetry::Telemetry::enabled();
-            eng.world.ks.set_telemetry(telemetry.clone());
-            let sps: Vec<Uid> = (0..4)
-                .map(|i| submit(&mut eng, &format!("sp-{i}"), sp_spec(0.5, 1.0, 0.5)))
-                .collect();
-            // Drain before any queued SchedDecide event has fired: every
-            // sharePod is decided now, in one batch.
-            let now = eng.now();
-            let mut out = Vec::new();
-            let mut notes = Vec::new();
-            let n = eng.world.ks.drain_pending(now, &mut out, &mut notes);
-            assert_eq!(n, 4);
-            seed(&mut eng, out);
-            // The stale SchedDecide events no-op; the batch's binds drive
-            // everything to Running.
-            eng.run_to_completion(20_000);
-            for sp in &sps {
-                assert_eq!(
-                    eng.world.ks.sharepod(*sp).unwrap().status.phase,
-                    SharePodPhase::Running,
-                    "mode {mode:?}"
-                );
-            }
-            // A second drain sees an empty queue.
-            let mut out = Vec::new();
-            let mut notes = Vec::new();
+        let mut eng = engine(2, 2);
+        let telemetry = ks_telemetry::Telemetry::enabled();
+        eng.world.ks.set_telemetry(telemetry.clone());
+        let sps: Vec<Uid> = (0..4)
+            .map(|i| submit(&mut eng, &format!("sp-{i}"), sp_spec(0.5, 1.0, 0.5)))
+            .collect();
+        // Drain before any queued SchedDecide event has fired: every
+        // sharePod is decided now, in one batch.
+        let now = eng.now();
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        let n = eng.world.ks.drain_pending(now, &mut out, &mut notes);
+        assert_eq!(n, 4);
+        seed(&mut eng, out);
+        // The stale SchedDecide events no-op; the batch's binds drive
+        // everything to Running.
+        eng.run_to_completion(20_000);
+        for sp in &sps {
             assert_eq!(
-                eng.world.ks.drain_pending(eng.now(), &mut out, &mut notes),
-                0
+                eng.world.ks.sharepod(*sp).unwrap().status.phase,
+                SharePodPhase::Running
             );
-            let snap = telemetry.snapshot();
-            assert!(
-                snap.histogram_count_sum("sched_batch_len", &[]).is_some(),
-                "batch length histogram recorded"
-            );
-            // Small pools resolve `Auto` to the reference path, and the
-            // decision histogram is labeled with the path that ran.
-            let mode_label = mode.resolve(eng.world.ks.pool().len()).label();
-            let (count, _) = snap
-                .histogram_count_sum("sched_decision_ns", &[("mode", mode_label)])
-                .expect("decision timing histogram recorded");
-            assert!(count >= 4, "one timing sample per decision");
         }
+        // A second drain sees an empty queue.
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        assert_eq!(
+            eng.world.ks.drain_pending(eng.now(), &mut out, &mut notes),
+            0
+        );
+        let snap = telemetry.snapshot();
+        assert!(
+            snap.histogram_count_sum("sched_batch_len", &[]).is_some(),
+            "batch length histogram recorded"
+        );
+        let (count, _) = snap
+            .histogram_count_sum("sched_decision_ns", &[])
+            .expect("decision timing histogram recorded");
+        assert!(count >= 4, "one timing sample per decision");
     }
 
     #[test]
@@ -3554,6 +3524,51 @@ mod tests {
             .filter(|(_, n)| matches!(n, KsNotice::SharePodStopped { sp, .. } if *sp == sps[2]))
             .count();
         assert_eq!(stops, 1);
+        eng.world.ks.pool().verify_indexes().unwrap();
+        eng.world.ks.verify_sp_tally().unwrap();
+    }
+
+    #[test]
+    fn hybrid_reconfiguration_decides_trigger_first_and_settles() {
+        let mut eng = engine(1, 1);
+        let telemetry = ks_telemetry::Telemetry::enabled();
+        eng.world.ks.set_telemetry(telemetry.clone());
+        // Three Hybrid sharePods that fill exactly 7 slots: two P2s and a
+        // P3. Decided in submission order, defrag-greedy placement lands
+        // the P2s at starts 4 and 0, which strands the P3 (3 free slots,
+        // no legal start) and reshapes the device. Re-deciding the
+        // displaced P2s ahead of the P3 rebuilds the same layout and
+        // strands it again, forever; deciding the trigger first fits all
+        // three on the reshaped device.
+        let hybrid =
+            |util, mem| sp_spec(util, 1.0, mem).with_substrate(ks_partition::Substrate::Hybrid);
+        let sps = [
+            submit(&mut eng, "sp-470", hybrid(0.213, 0.222)),
+            submit(&mut eng, "sp-474", hybrid(0.207, 0.137)),
+            submit(&mut eng, "sp-475", hybrid(0.296, 0.054)),
+        ];
+        eng.run_to_completion(200_000);
+        let snap = telemetry.snapshot();
+        assert_eq!(
+            snap.counter_value("ks_partition_reconfigs_total", &[]),
+            Some(1),
+            "one reshape settles the layout"
+        );
+        let gpu = eng
+            .world
+            .ks
+            .sharepod(sps[2])
+            .unwrap()
+            .status
+            .bound_gpuid
+            .clone();
+        for sp in sps {
+            let s = eng.world.ks.sharepod(sp).unwrap();
+            assert_eq!(s.status.phase, SharePodPhase::Running, "sp {sp:?}");
+            assert_eq!(s.status.bound_gpuid, gpu);
+        }
+        let device = eng.world.ks.pool().get(gpu.as_ref().unwrap()).unwrap();
+        assert_eq!(device.partition.as_ref().unwrap().free_slots(), 0);
         eng.world.ks.pool().verify_indexes().unwrap();
         eng.world.ks.verify_sp_tally().unwrap();
     }

@@ -2,9 +2,11 @@
 //! paper's scheduling invariants for arbitrary request streams.
 
 use ks_cluster::api::Uid;
+use ks_telemetry::provenance::SchedProv;
 use kubeshare::algorithm::{schedule, Decision, SchedRequest};
 use kubeshare::locality::Locality;
 use kubeshare::pool::VgpuPool;
+use kubeshare::Substrate;
 use proptest::prelude::*;
 
 /// A generated request: fractional demands plus optional labels drawn from
@@ -61,7 +63,7 @@ fn drive(reqs: &[GenReq]) -> (VgpuPool, Vec<Option<kubeshare::GpuId>>) {
             mem: r.mem,
             locality: loc.clone(),
         };
-        let decision = schedule(&req, &mut pool);
+        let decision = schedule(Substrate::TimeSlice, &req, &mut pool, &mut SchedProv::off());
         let id = match decision {
             Decision::Assign(id) => Some(id),
             Decision::NewDevice(id) => {

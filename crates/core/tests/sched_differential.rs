@@ -1,25 +1,31 @@
-//! Differential test oracle: `SchedMode::Indexed` must make byte-identical
-//! decisions to the paper-faithful `SchedMode::Reference` on any pool
-//! state and request stream (DESIGN.md §10), and the pool's capacity
-//! indexes must always equal a from-scratch rebuild.
+//! Differential test oracle: the runtime path [`schedule`] must make
+//! byte-identical decisions to the paper-literal [`schedule_reference`]
+//! on any pool state and request stream (DESIGN.md §10), and the pool's
+//! slot-addressed capacity indexes must always equal a from-scratch
+//! rebuild.
 //!
 //! Three layers:
 //!
 //! 1. proptest streams — interleavings of schedule/attach/detach/
 //!    mark_ready/mark_releasing/remove, asserting per-step decision
 //!    equality and index consistency;
-//! 2. batch oracle — `schedule_batch` decision vectors match across modes;
+//! 2. batch oracle — `schedule_batch` decision vectors match the
+//!    reference oracle's, decided and applied entry by entry;
 //! 3. a fixed-seed 1000-case oracle (no proptest shrink machinery, a
 //!    plain LCG) so CI exercises the same cases on every run and fails on
 //!    the first divergence.
 
 use ks_cluster::api::Uid;
+use ks_sim_core::time::SimTime;
+use ks_telemetry::provenance::SchedProv;
+use ks_telemetry::FlightRecorder;
 use kubeshare::algorithm::{
-    schedule, schedule_batch, schedule_indexed, BatchEntry, Decision, SchedMode, SchedRequest,
+    schedule, schedule_batch, schedule_reference, BatchEntry, Decision, SchedRequest,
 };
 use kubeshare::gpuid::GpuId;
 use kubeshare::locality::Locality;
 use kubeshare::pool::{VgpuPhase, VgpuPool};
+use kubeshare::Substrate;
 use proptest::prelude::*;
 
 /// A generated request. Demands are drawn mostly from a small discrete
@@ -60,10 +66,19 @@ fn gen_req() -> impl Strategy<Value = GenReq> {
         })
 }
 
+/// Which implementation decides `Submit` ops.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// The paper-literal linear-scan oracle.
+    Reference,
+    /// The runtime path over the pool's indexes, capture off.
+    Runtime,
+}
+
 /// One step of a pool-state interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule a request through both modes; attach on success.
+    /// Schedule a request through both paths; attach on success.
     Submit(GenReq),
     /// Detach the k-th (mod live count) attachment.
     Detach(u8),
@@ -117,7 +132,7 @@ fn apply(pool: &mut VgpuPool, uid: Uid, r: &GenReq, decision: &Decision) {
             id.clone()
         }
         Decision::Reject(_) => return,
-        // Time-slice-only differential: neither mode reconfigures.
+        // Time-slice-only differential: neither path reconfigures.
         Decision::Reconfigure(_) => unreachable!("time-slice path proposed a reconfigure"),
     };
     pool.attach(
@@ -131,30 +146,23 @@ fn apply(pool: &mut VgpuPool, uid: Uid, r: &GenReq, decision: &Decision) {
     );
 }
 
-/// Drives one op against a pool in a given mode. Returns the decision for
-/// `Submit` ops so the caller can compare across modes. Non-submit ops
+/// Drives one op against a pool through a given path. Returns the
+/// decision for `Submit` ops so the caller can compare across paths. Non-submit ops
 /// mutate deterministically from the pool's current state, so two pools
 /// that have made identical decisions stay identical.
 fn step(
     pool: &mut VgpuPool,
     live: &mut Vec<(Uid, GpuId)>,
     next_uid: &mut u64,
-    mode: SchedMode,
+    path: Path,
     op: &Op,
 ) -> Option<Decision> {
     match op {
         Op::Submit(r) => {
             let req = sched_request(r);
-            let decision = match mode {
-                SchedMode::Reference => schedule(&req, pool),
-                SchedMode::Indexed => schedule_indexed(&req, pool),
-                // Auto is a per-decision pick between the two fixed
-                // implementations; resolve it and recurse into whichever
-                // path the pool size selects.
-                SchedMode::Auto => match mode.resolve(pool.len()) {
-                    SchedMode::Reference => schedule(&req, pool),
-                    _ => schedule_indexed(&req, pool),
-                },
+            let decision = match path {
+                Path::Reference => schedule_reference(&req, pool),
+                Path::Runtime => schedule(Substrate::TimeSlice, &req, pool, &mut SchedProv::off()),
             };
             *next_uid += 1;
             let uid = Uid(*next_uid);
@@ -217,8 +225,8 @@ fn step(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// The oracle: over any interleaving, every decision the indexed
-    /// scheduler makes equals the reference's, and both pools stay
+    /// The oracle: over any interleaving, every decision the runtime
+    /// path makes equals the reference's, and both pools stay
     /// structurally identical.
     #[test]
     fn indexed_matches_reference_per_step(ops in proptest::collection::vec(gen_op(), 1..80)) {
@@ -227,8 +235,8 @@ proptest! {
         let (mut ref_live, mut idx_live) = (Vec::new(), Vec::new());
         let (mut ref_uid, mut idx_uid) = (0u64, 0u64);
         for (i, op) in ops.iter().enumerate() {
-            let d_ref = step(&mut ref_pool, &mut ref_live, &mut ref_uid, SchedMode::Reference, op);
-            let d_idx = step(&mut idx_pool, &mut idx_live, &mut idx_uid, SchedMode::Indexed, op);
+            let d_ref = step(&mut ref_pool, &mut ref_live, &mut ref_uid, Path::Reference, op);
+            let d_idx = step(&mut idx_pool, &mut idx_live, &mut idx_uid, Path::Runtime, op);
             prop_assert_eq!(&d_ref, &d_idx, "divergence at op {} ({:?})", i, op);
         }
         // Identical decision streams must leave identical pools.
@@ -249,15 +257,16 @@ proptest! {
         let mut live = Vec::new();
         let mut uid = 0u64;
         for op in &ops {
-            step(&mut pool, &mut live, &mut uid, SchedMode::Indexed, op);
+            step(&mut pool, &mut live, &mut uid, Path::Runtime, op);
             if let Err(e) = pool.verify_indexes() {
                 prop_assert!(false, "after {:?}: {}", op, e);
             }
         }
     }
 
-    /// Batch oracle: draining a pending queue produces identical decision
-    /// vectors in both modes.
+    /// Batch oracle: draining a pending queue produces the decision vector
+    /// the reference oracle produces deciding and applying entry by
+    /// entry.
     #[test]
     fn batch_decisions_match(reqs in proptest::collection::vec(gen_req(), 1..60)) {
         let entries: Vec<BatchEntry> = reqs
@@ -267,8 +276,16 @@ proptest! {
             .collect();
         let mut ref_pool = VgpuPool::new();
         let mut idx_pool = VgpuPool::new();
-        let ref_out = schedule_batch(SchedMode::Reference, &entries, &mut ref_pool);
-        let idx_out = schedule_batch(SchedMode::Indexed, &entries, &mut idx_pool);
+        let ref_out: Vec<(Uid, Decision)> = entries
+            .iter()
+            .map(|e| {
+                let d = schedule_reference(&e.req, &mut ref_pool);
+                e.apply(&d, &mut ref_pool);
+                (e.uid, d)
+            })
+            .collect();
+        let idx_out =
+            schedule_batch(&entries, &mut idx_pool, SimTime::ZERO, &FlightRecorder::disabled());
         prop_assert_eq!(ref_out, idx_out);
         idx_pool.verify_indexes().unwrap();
     }
@@ -335,19 +352,19 @@ fn fixed_seed_oracle_1000_cases_zero_divergence() {
                 &mut ref_pool,
                 &mut ref_live,
                 &mut ref_uid,
-                SchedMode::Reference,
+                Path::Reference,
                 op,
             );
             let d_idx = step(
                 &mut idx_pool,
                 &mut idx_live,
                 &mut idx_uid,
-                SchedMode::Indexed,
+                Path::Runtime,
                 op,
             );
             if d_ref != d_idx {
                 divergences += 1;
-                eprintln!("case {case} op {i}: reference={d_ref:?} indexed={d_idx:?} ({op:?})");
+                eprintln!("case {case} op {i}: reference={d_ref:?} runtime={d_idx:?} ({op:?})");
                 break;
             }
         }
@@ -355,7 +372,7 @@ fn fixed_seed_oracle_1000_cases_zero_divergence() {
             .verify_indexes()
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
-    assert_eq!(divergences, 0, "indexed scheduler diverged from reference");
+    assert_eq!(divergences, 0, "runtime scheduler diverged from reference");
 }
 
 // ---- provenance mode axis (DESIGN.md §15) ----
@@ -366,14 +383,12 @@ fn fixed_seed_oracle_1000_cases_zero_divergence() {
 
 mod recorder_axis {
     use super::*;
-    use ks_sim_core::time::SimTime;
-    use ks_telemetry::provenance::{DecisionKind, SchedProv};
-    use ks_telemetry::FlightRecorder;
-    use kubeshare::algorithm::{outcome_of, schedule_with_prov};
+    use ks_telemetry::provenance::DecisionKind;
+    use kubeshare::algorithm::outcome_of;
 
     /// `step` with the decision path instrumented: a hoisted scratch
     /// collector feeding a live flight recorder, exactly as
-    /// `schedule_batch_recorded` wires it. Non-submit ops are shared with
+    /// `schedule_batch` wires an enabled recorder. Non-submit ops are shared with
     /// the uninstrumented driver.
     fn step_recorded(
         pool: &mut VgpuPool,
@@ -384,10 +399,10 @@ mod recorder_axis {
         op: &Op,
     ) -> Option<Decision> {
         let Op::Submit(r) = op else {
-            return step(pool, live, next_uid, SchedMode::Indexed, op);
+            return step(pool, live, next_uid, Path::Runtime, op);
         };
         let req = sched_request(r);
-        let decision = schedule_with_prov(SchedMode::Indexed, &req, pool, prov);
+        let decision = schedule(Substrate::TimeSlice, &req, pool, prov);
         *next_uid += 1;
         let uid = Uid(*next_uid);
         apply(pool, uid, r, &decision);
@@ -440,7 +455,7 @@ mod recorder_axis {
             let mut prov = SchedProv::for_recorder(&rec);
             for (i, op) in ops.iter().enumerate() {
                 let d_off =
-                    step(&mut off_pool, &mut off_live, &mut off_uid, SchedMode::Indexed, op);
+                    step(&mut off_pool, &mut off_live, &mut off_uid, Path::Runtime, op);
                 let d_on =
                     step_recorded(&mut on_pool, &mut on_live, &mut on_uid, &rec, &mut prov, op);
                 prop_assert_eq!(&d_off, &d_on, "divergence at op {} ({:?})", i, op);
@@ -471,7 +486,7 @@ mod recorder_axis {
                     &mut off_pool,
                     &mut off_live,
                     &mut off_uid,
-                    SchedMode::Indexed,
+                    Path::Runtime,
                     op,
                 );
                 let d_on =

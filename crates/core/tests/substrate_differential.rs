@@ -1,13 +1,15 @@
 //! Differential oracle for the substrate axis (DESIGN.md §14): a
-//! `Substrate::TimeSlice` workload routed through [`schedule_substrate`]
-//! must be **decision-identical** to the pre-substrate scheduler
-//! ([`schedule_with`]) on any pool state and request stream — adding the
-//! spatial subsystem cannot perturb a single time-slice placement.
+//! `Substrate::TimeSlice` workload routed through the runtime
+//! [`schedule`] must be **decision-identical** to the paper-literal
+//! pre-substrate scheduler ([`schedule_reference`]) on any pool state and
+//! request stream — adding the spatial subsystem cannot perturb a single
+//! time-slice placement.
 //!
 //! Two layers:
 //!
 //! 1. proptest streams — interleavings of schedule/attach/detach/
-//!    mark_ready/mark_releasing/remove driven through both entry points,
+//!    mark_ready/mark_releasing/remove driven through the oracle on one
+//!    pool and the runtime path on another,
 //!    asserting per-step decision equality and final pool-bit equality;
 //! 2. a fixed-seed LCG oracle (same cases on every CI run) that
 //!    additionally seeds the pool with *populated spatial devices* —
@@ -15,7 +17,8 @@
 //!    time-slice decision stream cannot see them.
 
 use ks_cluster::api::Uid;
-use kubeshare::algorithm::{schedule_substrate, schedule_with, Decision, SchedMode, SchedRequest};
+use ks_telemetry::provenance::SchedProv;
+use kubeshare::algorithm::{schedule, schedule_reference, Decision, SchedRequest};
 use kubeshare::gpuid::GpuId;
 use kubeshare::locality::Locality;
 use kubeshare::pool::{VgpuPhase, VgpuPool};
@@ -96,12 +99,13 @@ fn sched_request(r: &GenReq) -> SchedRequest {
     }
 }
 
-/// Which entry point schedules `Submit` ops: the pre-substrate scheduler,
-/// or the substrate dispatcher pinned to `TimeSlice`.
-#[derive(Clone, Copy)]
+/// Which entry point schedules `Submit` ops: the paper-literal
+/// pre-substrate oracle, or the runtime path pinned to `TimeSlice`
+/// (capture off).
+#[derive(Debug, Clone, Copy)]
 enum Path {
-    Plain(SchedMode),
-    TimeSliceSubstrate(SchedMode),
+    Reference,
+    TimeSlice,
 }
 
 fn apply(pool: &mut VgpuPool, uid: Uid, r: &GenReq, decision: &Decision) {
@@ -141,9 +145,9 @@ fn step(
         Op::Submit(r) => {
             let req = sched_request(r);
             let decision = match path {
-                Path::Plain(mode) => schedule_with(mode, &req, pool),
-                Path::TimeSliceSubstrate(mode) => {
-                    schedule_substrate(mode, Substrate::TimeSlice, &req, pool)
+                Path::Reference => schedule_reference(&req, pool),
+                Path::TimeSlice => {
+                    schedule(Substrate::TimeSlice, &req, pool, &mut SchedProv::off())
                 }
             };
             *next_uid += 1;
@@ -222,32 +226,24 @@ fn assert_time_slice_devices_identical(a: &VgpuPool, b: &VgpuPool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// The oracle: over any interleaving and both fixed scheduler modes,
-    /// `schedule_substrate(TimeSlice)` equals `schedule_with` per step.
+    /// The oracle: over any interleaving, `schedule(TimeSlice)` equals
+    /// the reference oracle per step.
     #[test]
     fn time_slice_substrate_matches_plain_per_step(
         ops in proptest::collection::vec(gen_op(), 1..80),
     ) {
-        for mode in [SchedMode::Reference, SchedMode::Indexed] {
-            let mut plain_pool = VgpuPool::new();
-            let mut sub_pool = VgpuPool::new();
-            let (mut plain_live, mut sub_live) = (Vec::new(), Vec::new());
-            let (mut plain_uid, mut sub_uid) = (0u64, 0u64);
-            for (i, op) in ops.iter().enumerate() {
-                let d_plain =
-                    step(&mut plain_pool, &mut plain_live, &mut plain_uid, Path::Plain(mode), op);
-                let d_sub = step(
-                    &mut sub_pool,
-                    &mut sub_live,
-                    &mut sub_uid,
-                    Path::TimeSliceSubstrate(mode),
-                    op,
-                );
-                prop_assert_eq!(&d_plain, &d_sub, "divergence at op {} ({:?})", i, op);
-            }
-            assert_time_slice_devices_identical(&plain_pool, &sub_pool);
-            sub_pool.verify_indexes().unwrap();
+        let mut plain_pool = VgpuPool::new();
+        let mut sub_pool = VgpuPool::new();
+        let (mut plain_live, mut sub_live) = (Vec::new(), Vec::new());
+        let (mut plain_uid, mut sub_uid) = (0u64, 0u64);
+        for (i, op) in ops.iter().enumerate() {
+            let d_plain =
+                step(&mut plain_pool, &mut plain_live, &mut plain_uid, Path::Reference, op);
+            let d_sub = step(&mut sub_pool, &mut sub_live, &mut sub_uid, Path::TimeSlice, op);
+            prop_assert_eq!(&d_plain, &d_sub, "divergence at op {} ({:?})", i, op);
         }
+        assert_time_slice_devices_identical(&plain_pool, &sub_pool);
+        sub_pool.verify_indexes().unwrap();
     }
 }
 
@@ -326,12 +322,13 @@ fn seed_spatial(pool: &mut VgpuPool) {
     assert_eq!(pool.spatial_count(), 3);
 }
 
-/// 500 fixed cases per mode; the substrate pool additionally carries live
-/// spatial devices the whole way through. Zero divergence tolerated.
+/// 500 fixed cases per plain-pool path (the oracle, then the runtime
+/// path); the substrate pool additionally carries live spatial devices
+/// the whole way through. Zero divergence tolerated.
 #[test]
 fn fixed_seed_oracle_spatial_devices_invisible_to_time_slice() {
     let mut rng = Lcg(0x4b756265_53686172 ^ 0x14); // §14
-    for mode in [SchedMode::Reference, SchedMode::Indexed] {
+    for plain in [Path::Reference, Path::TimeSlice] {
         for case in 0..500 {
             let n_ops = 10 + (rng.next() % 50) as usize;
             let ops: Vec<Op> = (0..n_ops).map(|_| rng.op()).collect();
@@ -341,23 +338,17 @@ fn fixed_seed_oracle_spatial_devices_invisible_to_time_slice() {
             let (mut plain_live, mut sub_live) = (Vec::new(), Vec::new());
             let (mut plain_uid, mut sub_uid) = (0u64, 0u64);
             for (i, op) in ops.iter().enumerate() {
-                let d_plain = step(
-                    &mut plain_pool,
-                    &mut plain_live,
-                    &mut plain_uid,
-                    Path::Plain(mode),
-                    op,
-                );
+                let d_plain = step(&mut plain_pool, &mut plain_live, &mut plain_uid, plain, op);
                 let d_sub = step(
                     &mut sub_pool,
                     &mut sub_live,
                     &mut sub_uid,
-                    Path::TimeSliceSubstrate(mode),
+                    Path::TimeSlice,
                     op,
                 );
                 assert_eq!(
                     d_plain, d_sub,
-                    "mode {mode:?} case {case} diverged at op {i} ({op:?})"
+                    "{plain:?} case {case} diverged at op {i} ({op:?})"
                 );
             }
             assert_time_slice_devices_identical(&plain_pool, &sub_pool);
@@ -374,32 +365,31 @@ fn fixed_seed_oracle_spatial_devices_invisible_to_time_slice() {
 // ---- provenance mode axis (DESIGN.md §15) ----
 //
 // The substrate dispatcher must also be recorder-transparent: routing
-// TimeSlice work through `schedule_substrate_prov` with a live flight
+// TimeSlice work through `schedule` with a live flight
 // recorder is decision- and pool-bit-identical to the uninstrumented
 // dispatcher, even with populated spatial devices in the pool.
 
 mod recorder_axis {
     use super::*;
     use ks_sim_core::time::SimTime;
-    use ks_telemetry::provenance::{DecisionKind, SchedProv};
+    use ks_telemetry::provenance::DecisionKind;
     use ks_telemetry::FlightRecorder;
-    use kubeshare::algorithm::{outcome_of, schedule_substrate_prov};
+    use kubeshare::algorithm::outcome_of;
 
     /// `step` for the substrate path with provenance capture wired in.
     fn step_recorded(
         pool: &mut VgpuPool,
         live: &mut Vec<(Uid, GpuId)>,
         next_uid: &mut u64,
-        mode: SchedMode,
         rec: &FlightRecorder,
         prov: &mut SchedProv,
         op: &Op,
     ) -> Option<Decision> {
         let Op::Submit(r) = op else {
-            return step(pool, live, next_uid, Path::TimeSliceSubstrate(mode), op);
+            return step(pool, live, next_uid, Path::TimeSlice, op);
         };
         let req = sched_request(r);
-        let decision = schedule_substrate_prov(mode, Substrate::TimeSlice, &req, pool, prov);
+        let decision = schedule(Substrate::TimeSlice, &req, pool, prov);
         *next_uid += 1;
         let uid = Uid(*next_uid);
         apply(pool, uid, r, &decision);
@@ -422,12 +412,13 @@ mod recorder_axis {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
         /// Recorder-on substrate scheduling equals recorder-off per step
-        /// in both modes; final time-slice devices are bit-identical.
+        /// — against the oracle and against the recorder-off runtime path;
+        /// final time-slice devices are bit-identical.
         #[test]
         fn substrate_recorder_on_matches_off(
             ops in proptest::collection::vec(gen_op(), 1..80),
         ) {
-            for mode in [SchedMode::Reference, SchedMode::Indexed] {
+            for off in [Path::Reference, Path::TimeSlice] {
                 let mut off_pool = VgpuPool::new();
                 let mut on_pool = VgpuPool::new();
                 let (mut off_live, mut on_live) = (Vec::new(), Vec::new());
@@ -435,18 +426,11 @@ mod recorder_axis {
                 let rec = FlightRecorder::with_capacity(128);
                 let mut prov = SchedProv::for_recorder(&rec);
                 for (i, op) in ops.iter().enumerate() {
-                    let d_off = step(
-                        &mut off_pool,
-                        &mut off_live,
-                        &mut off_uid,
-                        Path::TimeSliceSubstrate(mode),
-                        op,
-                    );
+                    let d_off = step(&mut off_pool, &mut off_live, &mut off_uid, off, op);
                     let d_on = step_recorded(
                         &mut on_pool,
                         &mut on_live,
                         &mut on_uid,
-                        mode,
                         &rec,
                         &mut prov,
                         op,

@@ -763,7 +763,9 @@ impl SchedProv {
     /// Marks the candidate at capture slot `idx` as the winner — the
     /// hot-path variant of [`SchedProv::choose`] for scan loops that know
     /// the winner was the `idx`-th captured candidate, skipping the
-    /// target-string search. Out-of-range slots are ignored.
+    /// target-string search. `idx` counts the collector's visible
+    /// candidates from the first, not from the start of the caller's own
+    /// scan. Out-of-range slots are ignored.
     #[inline]
     pub fn choose_at(&mut self, idx: usize, rule: &'static str, score: f64) {
         if !self.on {

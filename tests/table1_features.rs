@@ -167,10 +167,12 @@ fn compute_isolation_probe() {
 /// KubeShare API exposes them, and they actually separate workloads.
 #[test]
 fn locality_constraints_probe() {
+    use ks_telemetry::provenance::SchedProv;
     use kubeshare_repro::cluster::api::Uid;
     use kubeshare_repro::kubeshare::algorithm::{schedule, Decision, SchedRequest};
     use kubeshare_repro::kubeshare::locality::Locality;
     use kubeshare_repro::kubeshare::pool::VgpuPool;
+    use kubeshare_repro::kubeshare::Substrate;
 
     let mut pool = VgpuPool::new();
     for i in 0..2 {
@@ -185,16 +187,20 @@ fn locality_constraints_probe() {
         locality: loc,
     };
     let d1 = schedule(
+        Substrate::TimeSlice,
         &req(Locality::none().with_anti_affinity("noisy")),
         &mut pool,
+        &mut SchedProv::off(),
     );
     let Decision::Assign(g1) = d1 else {
         panic!("{d1:?}")
     };
     pool.attach(&g1, Uid(1), 0.4, 0.4, None, Some("noisy"), None);
     let d2 = schedule(
+        Substrate::TimeSlice,
         &req(Locality::none().with_anti_affinity("noisy")),
         &mut pool,
+        &mut SchedProv::off(),
     );
     let Decision::Assign(g2) = d2 else {
         panic!("{d2:?}")
